@@ -10,7 +10,6 @@ training, quantization, exact FLOPs/byte accounting and evaluation.
 from .dsp import FilterSpec, preprocess
 from .ingest import (
     Annotation,
-    Beat,
     BeatSet,
     Signal,
     extract_beats,

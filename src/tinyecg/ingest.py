@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,12 +54,6 @@ class Annotation:
     label: str  # N/S/V/F or OTHER
 
 
-@dataclass(frozen=True)
-class Beat:
-    window: np.ndarray  # 61 preprocessed values
-    label: str
-
-
 @dataclass
 class BeatSet:
     """Labeled beat windows stored as parallel arrays.
@@ -85,10 +79,6 @@ class BeatSet:
     @property
     def counts(self) -> dict[str, int]:
         return {c: int(np.sum(self.labels == i)) for i, c in enumerate(CLASSES)}
-
-    @property
-    def beats(self) -> list[Beat]:
-        return [Beat(w, CLASSES[l]) for w, l in zip(self.windows, self.labels)]
 
     def save(self, path) -> None:
         np.savez_compressed(

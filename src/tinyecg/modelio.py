@@ -137,14 +137,12 @@ def load_qmodel(path) -> QuantizedModel:
     )
     headers = _read_layer_headers(rd)
     blobs = []
-    acts = []
-    for fan_in, fan_out, act in headers:
+    for fan_in, fan_out, _ in headers:
         w = np.frombuffer(rd.take(fan_in * fan_out), dtype=np.int8).reshape(
             fan_in, fan_out
         )
         b = np.frombuffer(rd.take(fan_out), dtype=np.int8)
         blobs.append((w.copy(), b.copy()))
-        acts.append(act)
     return QuantizedModel(
         w1=blobs[0][0], b1=blobs[0][1], w2=blobs[1][0], b2=blobs[1][1],
         qparams=qp, variant=rd.variant,

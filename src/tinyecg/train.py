@@ -17,13 +17,13 @@ import numpy as np
 from .ingest import BeatSet
 from .metrics import confusion, scores
 from .nn import (
+    _ACT_FN,
     RELU,
     SIGMOID,
     VARIANTS,
     DenseLayer,
     DenseModel,
     glorot_init,
-    sigmoid,
     softmax,
 )
 
@@ -103,21 +103,13 @@ def mse_loss(predicted, target) -> float:
 
 
 def forward_batch(model: DenseModel, x: np.ndarray):
-    """Batched forward returning intermediates needed for backprop."""
+    """Batched forward returning the pre-activations backprop needs: (z1, a1, z2, out)."""
     act1, act2 = VARIANTS[model.variant]
     z1 = x @ model.layer1.weights + model.layer1.bias
-    a1 = _apply(act1, z1)
+    a1 = _ACT_FN[act1](z1)
     z2 = a1 @ model.layer2.weights + model.layer2.bias
-    out = _apply(act2, z2)
+    out = _ACT_FN[act2](z2)
     return z1, a1, z2, out
-
-
-def _apply(activation: str, z: np.ndarray) -> np.ndarray:
-    if activation == SIGMOID:
-        return sigmoid(z)
-    if activation == RELU:
-        return np.maximum(0.0, z)
-    return softmax(z)
 
 
 def _activation_backward(activation: str, grad_out, z, out) -> np.ndarray:
@@ -195,15 +187,12 @@ def fit(
     init_model: DenseModel | None = None,
     freeze_mask: list[np.ndarray] | None = None,
     zero_biases: bool = False,
-    grad_fn=None,
 ) -> tuple[DenseModel, TrainTrace]:
-    """Shuffled mini-batch Adam loop, deterministic per seed.
+    """Shuffled mini-batch Adam loop on the MSE gradient, deterministic per seed.
 
     `init_model` resumes from existing parameters (its variant wins over
     `config.variant`); `freeze_mask` pins masked parameters at zero
-    (pruning support); `zero_biases` trains the weights-only ablation;
-    `grad_fn(model, x, y)` overrides the MSE gradient (distillation uses
-    this hook).
+    (pruning support); `zero_biases` trains the weights-only ablation.
     """
     if len(train) == 0:
         raise ValueError("training set is empty")
@@ -230,7 +219,6 @@ def fit(
 
     targets = one_hot(train.labels)
     state = AdamState.for_params(params)
-    grad_fn = grad_fn or (lambda mod, x, y: backward(mod, x, y))
     n = len(train)
     batch = min(config.batch_size, n)
     losses = np.empty(config.epochs)
@@ -242,14 +230,12 @@ def fit(
             for start in range(0, n, batch):
                 idx = order[start : start + batch]
                 epoch_losses.append(
-                    _step(model, params, masks, train, targets, idx, state, config, grad_fn)
+                    _step(model, params, masks, train, targets, idx, state, config)
                 )
             losses[epoch] = float(np.mean(epoch_losses))
         else:
             idx = order[:batch]
-            losses[epoch] = _step(
-                model, params, masks, train, targets, idx, state, config, grad_fn
-            )
+            losses[epoch] = _step(model, params, masks, train, targets, idx, state, config)
 
     trace = TrainTrace(losses)
     trace.train_accuracy, trace.train_macro_f1 = _evaluate(model, train)
@@ -258,11 +244,11 @@ def fit(
     return model, trace
 
 
-def _step(model, params, masks, train, targets, idx, state, config, grad_fn) -> float:
+def _step(model, params, masks, train, targets, idx, state, config) -> float:
     x, y = train.windows[idx], targets[idx]
     _, _, _, out = forward_batch(model, x)
     loss = mse_loss(out, y)
-    grads = grad_fn(model, x, y)
+    grads = backward(model, x, y)
     for g, m in zip(grads, masks):
         g[m] = 0.0
     adam_step(params, grads, state, config.learning_rate)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tinyecg.nn import model_forward, standard_model
+from tinyecg.nn import VARIANTS, model_forward, predict_labels, standard_model
 from tinyecg.quant import (
     DegenerateRangeError,
     QuantParams,
@@ -17,6 +17,7 @@ from tinyecg.quant import (
     forward_temporary_dequantized,
     memory_report,
     memory_report_from_shapes,
+    predict_labels_quantized,
     quantize,
     quantize_model,
 )
@@ -180,7 +181,6 @@ class TestQuantizeModel:
         # directional property: with raw int8 codes as weights, a nonzero
         # zero point shifts every code (real 0.0 no longer stored as 0)
         # and accuracy drops; the zero-preserving symmetric mapping holds up
-        from tinyecg.quant import predict_labels_quantized
         from tinyecg.synthetic import separable_beatset
         from tinyecg.train import TrainConfig, fit
 
@@ -238,18 +238,51 @@ class TestForwardTemporaryDequantized:
             forward_temporary_dequantized(qm, np.zeros(60))
 
 
-def random_qmodel(rng, variant="sigmoid-sigmoid") -> QuantizedModel:
+def random_qmodel(rng, variant="sigmoid-sigmoid", zero_point=0) -> QuantizedModel:
     q = QuantParams(
         scale=float(rng.uniform(0.01, 1.0)),
-        zero_point=0,
+        zero_point=zero_point,
         alpha=-10.0,
         beta=10.0,
-        mode="symmetric",
+        mode="symmetric" if zero_point == 0 else "asymmetric",
     )
     ints = lambda shape: rng.integers(-127, 128, size=shape).astype(np.int8)
     return QuantizedModel(
         ints((61, 10)), ints(10), ints((10, 4)), ints(4), q, variant
     )
+
+
+class TestPredictLabels:
+    @settings(deadline=None)
+    @given(
+        variant=st.sampled_from(sorted(VARIANTS)),
+        zero_point=st.one_of(st.just(0), st.integers(-254, 254).filter(bool)),
+        n_beats=st.integers(0, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(variant="relu-softmax", zero_point=0, n_beats=0, seed=0)
+    @example(variant="sigmoid-sigmoid", zero_point=37, n_beats=0, seed=0)
+    def test_match_per_beat_argmax(self, variant, zero_point, n_beats, seed):
+        # labels for an array of windows equal each beat's argmax in every
+        # mode, temporary dequantization agrees with the dequantized float
+        # model, and no beats gives no labels, not an error
+        rng = np.random.default_rng(seed)
+        qm = random_qmodel(rng, variant, zero_point)
+        model = dequantize_model(qm)
+        windows = rng.uniform(0, 2, (n_beats, 61))
+
+        def per_beat(forward, m):
+            return np.array([np.argmax(forward(m, w)) for w in windows], dtype=np.int64)
+
+        default = predict_labels(model, windows)
+        tdq = predict_labels_quantized(qm, windows, temporary=True)
+        quantized = predict_labels_quantized(qm, windows, temporary=False)
+        for labels in (default, tdq, quantized):
+            assert labels.dtype == np.int64 and labels.shape == (n_beats,)
+        np.testing.assert_array_equal(default, per_beat(model_forward, model))
+        np.testing.assert_array_equal(tdq, per_beat(forward_temporary_dequantized, qm))
+        np.testing.assert_array_equal(tdq, default)
+        np.testing.assert_array_equal(quantized, per_beat(forward_quantized_only, qm))
 
 
 class TestForwardQuantizedOnly:
