@@ -21,6 +21,7 @@ from tinyecg.nn import predict_labels
 from tinyecg.quant import (
     flops_report,
     format_cost_report,
+    kernel_flops_report,
     memory_report,
     predict_labels_quantized,
     quantize_model,
@@ -55,7 +56,8 @@ def main() -> int:
 
     qmodel = quantize_model(model)
     print("\ncost report:")
-    print(format_cost_report(flops_report(qmodel.shapes), memory_report(qmodel)))
+    kernel = kernel_flops_report(qmodel.shapes, qmodel.qparams.zero_point)
+    print(format_cost_report(flops_report(qmodel.shapes), memory_report(qmodel), kernel))
 
     runs = {
         "default": predict_labels(model, test_set.windows),

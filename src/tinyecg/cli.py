@@ -96,14 +96,18 @@ def cmd_quantize(args) -> int:
     qmodel = quant.quantize_model(model, args.mode)
     modelio.save_qmodel(qmodel, args.out)
     flops = quant.flops_report(qmodel.shapes)
+    kernel = quant.kernel_flops_report(qmodel.shapes, qmodel.qparams.zero_point)
     memory = quant.memory_report(qmodel)
     if args.json:
         print(
             json.dumps(
                 {
                     "flops": {"layers": flops.layers, "total": flops.total},
+                    "kernel_flops": {"layers": kernel.layers, "total": kernel.total},
                     "memory": {
                         "model_param_bytes": memory.model_param_bytes,
+                        "temp_dequant_bytes": memory.temp_dequant_bytes,
+                        "temp_dequant_bytes_actual": memory.temp_dequant_bytes_actual,
                         "model_bytes": memory.model_bytes,
                         "buffer_bytes": memory.buffer_bytes,
                         "total_bytes": memory.total_bytes,
@@ -117,7 +121,7 @@ def cmd_quantize(args) -> int:
             )
         )
     else:
-        print(quant.format_cost_report(flops, memory))
+        print(quant.format_cost_report(flops, memory, kernel))
         print(
             f"scale {qmodel.qparams.scale!r}  zero point {qmodel.qparams.zero_point}"
             f"  mode {qmodel.qparams.mode}"

@@ -8,6 +8,8 @@ raw signal addresses the same position in the preprocessed stream.
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +97,9 @@ class StreamingPreprocessor:
 
     Feeding a recording one sample at a time produces the same values as
     the batch chain (up to float summation order in the trailing mean).
-    Holds only the biquad state, four derivative taps and the MWI window.
+    Holds only the biquad state, four derivative taps and the MWI window,
+    all as Python floats: per-sample arithmetic on numpy scalars costs
+    several times more.
     """
 
     def __init__(self, spec: FilterSpec, window: int = MWI_WINDOW):
@@ -103,16 +107,23 @@ class StreamingPreprocessor:
             raise ValueError(f"window must be >= 1, got {window}")
         self.spec = spec
         b, a = bandpass_coefficients(spec)
-        self._b = np.asarray(b, dtype=np.float64)
-        self._a = np.asarray(a, dtype=np.float64)
-        self._z = np.zeros(len(self._b) - 1)
+        self._b: list[float] = [float(v) for v in b]
+        self._a: list[float] = [float(v) for v in a]
+        self._z: list[float] = [0.0] * (len(self._b) - 1)
         self._taps: list[float] | None = None  # last 4 bandpassed samples, newest first
-        self._mwi: list[float] = []
-        self._window = window
+        # Summed afresh from the oldest sample on every push: a running
+        # add/subtract sum would drift away from the batch chain.
+        self._mwi: deque[float] = deque(maxlen=window)
 
     def push(self, raw: float) -> float:
-        """Advance the chain by one raw sample; returns the integrated value."""
+        """Advance the chain by one raw sample; returns the integrated value.
+
+        Raises ValueError on a non-finite sample and leaves the chain's
+        state as it was, so one bad sample cannot poison later outputs.
+        """
         x = float(raw)
+        if not math.isfinite(x):
+            raise ValueError(f"non-finite sample {x!r}")
         # Direct form II transposed, matching scipy.signal.lfilter.
         b, a, z = self._b, self._a, self._z
         y = b[0] * x + z[0]
@@ -127,7 +138,6 @@ class StreamingPreprocessor:
         t.insert(0, y)
         t.pop()
 
-        self._mwi.append(d * d)
-        if len(self._mwi) > self._window:
-            self._mwi.pop(0)
-        return sum(self._mwi) / len(self._mwi)
+        mwi = self._mwi
+        mwi.append(d * d)
+        return sum(mwi) / len(mwi)

@@ -108,7 +108,11 @@ def _rows(path) -> list[tuple[int, str, str]]:
 
 
 def load_signal(path, sampling_rate_hz: float) -> Signal:
-    """Parse an `index,value` export. Indices must increase monotonically."""
+    """Parse an `index,value` export.
+
+    Indices must count up by one from 0: a gap would shift every later
+    annotation off its sample. Values must be finite.
+    """
     rows = _rows(path)
     if not rows:
         raise ParseError(f"{Path(path)}: no samples found")
@@ -120,11 +124,16 @@ def load_signal(path, sampling_rate_hz: float) -> Signal:
             values[pos] = float(b)
         except ValueError as exc:
             raise ParseError(f"{Path(path)}:{lineno}: {exc}") from None
-        if idx <= prev:
+        if idx != prev + 1:
+            problem = "not increasing" if idx <= prev else "leaves a gap"
             raise ParseError(
-                f"{Path(path)}:{lineno}: sample index {idx} not increasing (prev {prev})"
+                f"{Path(path)}:{lineno}: sample index {idx} {problem} (prev {prev})"
             )
         prev = idx
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        lineno, _, b = rows[bad[0]]
+        raise ParseError(f"{Path(path)}:{lineno}: non-finite sample value {b!r}")
     return Signal(values, sampling_rate_hz)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -58,8 +59,8 @@ class StreamBuffer:
             )
         if end > self.head:
             raise IndexError(f"window end {end} beyond head {self.head}")
-        lo = start - self.tail
-        return np.array(list(self._ring)[lo : lo + (end - start + 1)])
+        lo, n = start - self.tail, end - start + 1
+        return np.fromiter(islice(self._ring, lo, lo + n), np.float64, n)
 
 
 def emit_window(buffer: StreamBuffer, r_index: int) -> np.ndarray | None:

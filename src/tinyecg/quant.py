@@ -4,9 +4,16 @@ One global scale/zero-point pair covers all 664 parameters. Symmetric
 mode clips to [-max|p|, +max|p|] so real zero lands exactly on integer
 code 0; asymmetric mode uses the raw [min, max] range.
 
-`forward_temporary_dequantized` mirrors the deployed kernel: parameters
-stay int8 and each one is scaled back to a real value only at its moment
-of use, so the working set grows by a few bytes instead of 4x.
+`forward_temporary_dequantized` computes what the deployed kernel
+computes: parameters stay int8-resident, and the deployed route scales
+each one back to a real value at its moment of use, so the working set
+grows by a few bytes instead of 4x. The host kernel accumulates on the
+int8 codes instead and rescales once per output neuron (Jacob et al.
+2018). With one global scale s and zero point z,
+x @ s(W_q + z) + s(b_q + z) = s(x @ W_q + b_q + z(sum(x) + 1)), so the
+two routes are equal in real arithmetic and differ only in rounding.
+The live stream takes the factored kernel; batch eval
+(`predict_labels_quantized`) replays the deployed per-parameter route.
 `forward_quantized_only` instead feeds the raw integer codes straight
 into the matmul, the cheapest (and least accurate) deployment mode.
 """
@@ -14,6 +21,7 @@ into the matmul, the cheapest (and least accurate) deployment mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -140,8 +148,23 @@ def dequantize_model(qmodel: QuantizedModel) -> DenseModel:
     )
 
 
-def _temporary_layer(x, w_q, b_q, activation, q: QuantParams):
-    """Matmul + bias with per-use dequantization, one parameter at a time."""
+def _temporary_layer(x, w_q, b_q, activation, q: QuantParams) -> np.ndarray:
+    """One dense layer on int8 codes: accumulate, then rescale each output once.
+
+    Computes act(s * (x @ W_q + b_q + z * (sum(x) + 1))), which equals
+    act(x @ s(W_q + z) + s(b_q + z)), the per-parameter dequantization of
+    the deployed kernel, in real arithmetic. numpy casts the codes to
+    floats inside each operation; no float copy of the weights outlives
+    the call.
+    """
+    acc = x @ w_q + b_q
+    if q.zero_point:
+        acc += q.zero_point * (x.sum() + 1.0)
+    return _ACT_FN[activation](q.scale * acc)
+
+
+def _per_parameter_layer(x, w_q, b_q, activation, q: QuantParams) -> np.ndarray:
+    """The deployed kernel's route: each parameter dequantized at its use."""
     fan_in, fan_out = w_q.shape
     s, z = q.scale, q.zero_point
     result = np.zeros(fan_out)
@@ -153,14 +176,18 @@ def _temporary_layer(x, w_q, b_q, activation, q: QuantParams):
     return _ACT_FN[activation](result)
 
 
-def forward_temporary_dequantized(qmodel: QuantizedModel, beat) -> np.ndarray:
-    """Inference with int8-resident parameters dequantized at point of use."""
+def _forward_int8(qmodel: QuantizedModel, beat, layer) -> np.ndarray:
     x = np.asarray(beat, dtype=np.float64)
     if x.shape != (qmodel.w1.shape[0],):
         raise ValueError(f"expected beat of shape ({qmodel.w1.shape[0]},), got {x.shape}")
     acts = VARIANTS[qmodel.variant]
-    hidden = _temporary_layer(x, qmodel.w1, qmodel.b1, acts[0], qmodel.qparams)
-    return _temporary_layer(hidden, qmodel.w2, qmodel.b2, acts[1], qmodel.qparams)
+    hidden = layer(x, qmodel.w1, qmodel.b1, acts[0], qmodel.qparams)
+    return layer(hidden, qmodel.w2, qmodel.b2, acts[1], qmodel.qparams)
+
+
+def forward_temporary_dequantized(qmodel: QuantizedModel, beat) -> np.ndarray:
+    """Inference with int8-resident parameters, rescaled by the global scale."""
+    return _forward_int8(qmodel, beat, _temporary_layer)
 
 
 def forward_quantized_only(qmodel: QuantizedModel, beat) -> np.ndarray:
@@ -176,8 +203,14 @@ def forward_quantized_only(qmodel: QuantizedModel, beat) -> np.ndarray:
 def predict_labels_quantized(
     qmodel: QuantizedModel, windows, temporary: bool = True
 ) -> np.ndarray:
-    """Predicted class codes for an array of windows, one forward each."""
-    forward = forward_temporary_dequantized if temporary else forward_quantized_only
+    """Predicted class codes for an array of windows, one forward each.
+
+    `temporary` runs the deployed kernel's per-parameter route; the live
+    stream calls the factored `forward_temporary_dequantized` per beat.
+    """
+    forward = (
+        partial(_forward_int8, layer=_per_parameter_layer) if temporary else forward_quantized_only
+    )
     return np.array(
         [int(np.argmax(forward(qmodel, w))) for w in np.asarray(windows, dtype=np.float64)],
         dtype=np.int64,
@@ -195,6 +228,20 @@ class FlopsReport:
 def flops_report(shapes) -> FlopsReport:
     layers = tuple(
         (fan_in, fan_out, 2 * fan_in * fan_out + fan_out) for fan_in, fan_out in shapes
+    )
+    return FlopsReport(layers, sum(f for _, _, f in layers))
+
+
+def kernel_flops_report(shapes, zero_point: int) -> FlopsReport:
+    """Operations the factored host kernel `_temporary_layer` performs, per layer.
+
+    The booked count plus one rescale per output neuron. A nonzero zero
+    point adds the sum of the inputs (fan_in - 1 adds), its + 1 and its
+    product with z, and one add per output neuron.
+    """
+    layers = tuple(
+        (fan_in, fan_out, flops + fan_out + (fan_in + 1 + fan_out if zero_point else 0))
+        for fan_in, fan_out, flops in flops_report(shapes).layers
     )
     return FlopsReport(layers, sum(f for _, _, f in layers))
 
@@ -241,17 +288,26 @@ def memory_report(qmodel: QuantizedModel, **kwargs) -> MemoryReport:
     return memory_report_from_shapes(qmodel.shapes, **kwargs)
 
 
-def format_cost_report(flops: FlopsReport, memory: MemoryReport) -> str:
-    """Fixed-width table pairing per-layer FLOPs with parameter bytes."""
-    lines = [f"{'layer':<8}{'flops':>8}{'param bytes':>14}"]
-    for i, ((_, _, fl), count) in enumerate(zip(flops.layers, memory.layer_param_counts), 1):
-        lines.append(f"{i:<8}{fl:>8}{count:>14}")
-    lines.append(f"{'total':<8}{flops.total:>8}{memory.model_param_bytes:>14}")
+def format_cost_report(flops: FlopsReport, memory: MemoryReport, kernel: FlopsReport) -> str:
+    """Fixed-width table pairing per-layer FLOPs with parameter bytes.
+
+    `flops` and the temp byte count are the deployed accounting's booked
+    figures; `kernel` and the actual temp bytes stand beside them.
+    """
+    lines = [f"{'layer':<8}{'flops':>8}{'kernel flops':>14}{'param bytes':>14}"]
+    for i, ((_, _, fl), (_, _, kfl), count) in enumerate(
+        zip(flops.layers, kernel.layers, memory.layer_param_counts), 1
+    ):
+        lines.append(f"{i:<8}{fl:>8}{kfl:>14}{count:>14}")
+    lines.append(
+        f"{'total':<8}{flops.total:>8}{kernel.total:>14}{memory.model_param_bytes:>14}"
+    )
     lines.append("")
     lines.append(f"{'component':<26}{'bytes':>8}")
     lines.append(
         f"{'model (params + temp)':<26}{memory.model_bytes:>8}"
-        f"   ({memory.model_param_bytes} + {memory.temp_dequant_bytes})"
+        f"   ({memory.model_param_bytes} + {memory.temp_dequant_bytes};"
+        f" a float32 temp really takes {memory.temp_dequant_bytes_actual})"
     )
     lines.append(
         f"{'sample buffer':<26}{memory.buffer_bytes:>8}"

@@ -171,7 +171,11 @@ class TestQuantize:
         ])
         doc = json.loads(capsys.readouterr().out)
         assert doc["flops"]["total"] == 1314
+        assert doc["kernel_flops"]["total"] == 1328
+        assert doc["kernel_flops"]["layers"] == [[61, 10, 1240], [10, 4, 88]]
         assert doc["memory"]["total_bytes"] == 1267
+        assert doc["memory"]["temp_dequant_bytes"] == 3
+        assert doc["memory"]["temp_dequant_bytes_actual"] == 4
         assert doc["zero_point"] == 0
 
     def test_asymmetric_mode_notes_zero_point(self, workspace, tmp_path, capsys):

@@ -171,3 +171,27 @@ class TestStreamingPreprocessor:
         stream = StreamingPreprocessor(spec)
         got = np.array([stream.push(v) for v in x])
         np.testing.assert_allclose(got, preprocess(x, spec), rtol=1e-12, atol=1e-12)
+
+    def test_matches_batch_on_long_recording(self, spec):
+        # in raw ADC counts (MIT-BIH: 200 per mV, baseline 1024) over 46k
+        # samples, a running add/subtract MWI sum drifts past the bound
+        from tinyecg.synthetic import labeled_recording
+
+        mv, _ = labeled_recording(["N", "S", "V", "F"] * 40, snr_db=25.0, seed=4)
+        x = 200.0 * mv + 1024.0
+        assert x.size >= 40_000
+        stream = StreamingPreprocessor(spec)
+        got = np.array([stream.push(v) for v in x])
+        np.testing.assert_allclose(got, preprocess(x, spec), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected_without_state_change(self, spec, rng, bad):
+        x = rng.normal(size=300)
+        clean, probed = StreamingPreprocessor(spec), StreamingPreprocessor(spec)
+        for v in x[:200]:
+            clean.push(v)
+            probed.push(v)
+        with pytest.raises(ValueError, match="non-finite"):
+            probed.push(bad)
+        for v in x[200:]:
+            assert probed.push(v) == clean.push(v)

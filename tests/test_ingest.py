@@ -52,6 +52,18 @@ class TestLoadSignal:
         with pytest.raises(ParseError, match="not increasing"):
             load_signal(p, 360.0)
 
+    def test_index_gap_rejected(self, tmp_path):
+        # a skipped index would shift every later annotation by one sample
+        p = write(tmp_path / "s.csv", "0,1.0\n1,2.0\n3,3.0\n")
+        with pytest.raises(ParseError, match=r"s\.csv:3: .*gap"):
+            load_signal(p, 360.0)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        p = write(tmp_path / "s.csv", f"# header\n0,1.0\n1,{value}\n2,3.0\n")
+        with pytest.raises(ParseError, match=r"s\.csv:3: non-finite"):
+            load_signal(p, 360.0)
+
     def test_wrong_field_count_rejected(self, tmp_path):
         p = write(tmp_path / "s.csv", "0,1.0,extra\n")
         with pytest.raises(ParseError, match=r"s\.csv:1"):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tinyecg.dsp import FilterSpec
 from tinyecg.qrs import (
@@ -58,6 +60,23 @@ class TestStreamBuffer:
             buf.push(float(i))
         with pytest.raises(WindowLostError):
             buf.window(10, 14)
+
+
+@given(
+    capacity=st.integers(61, 400),
+    extra=st.integers(0, 1000),
+    data=st.data(),
+)
+def test_ring_window_returns_pushed_values(capacity, extra, data):
+    # past any number of wraparounds, window(start, end) gives exactly the
+    # values pushed at those absolute indices
+    buf = StreamBuffer(capacity)
+    pushed = [float(i) * 0.5 - 7.0 for i in range(capacity + extra)]
+    for v in pushed:
+        buf.push(v)
+    start = data.draw(st.integers(buf.tail, buf.head), label="start")
+    end = data.draw(st.integers(start, min(buf.head, start + 60)), label="end")
+    np.testing.assert_array_equal(buf.window(start, end), pushed[start : end + 1])
 
 
 class TestEmitWindow:

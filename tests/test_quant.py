@@ -8,6 +8,8 @@ from tinyecg.quant import (
     DegenerateRangeError,
     QuantParams,
     QuantizedModel,
+    _forward_int8,
+    _per_parameter_layer,
     compute_qparams,
     dequantize,
     dequantize_model,
@@ -15,6 +17,7 @@ from tinyecg.quant import (
     format_cost_report,
     forward_quantized_only,
     forward_temporary_dequantized,
+    kernel_flops_report,
     memory_report,
     memory_report_from_shapes,
     predict_labels_quantized,
@@ -237,6 +240,28 @@ class TestForwardTemporaryDequantized:
         with pytest.raises(ValueError):
             forward_temporary_dequantized(qm, np.zeros(60))
 
+    @settings(deadline=None)
+    @given(
+        variant=st.sampled_from(sorted(VARIANTS)),
+        zero_point=st.integers(-254, 254),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(variant="relu-softmax", zero_point=254, seed=0)
+    @example(variant="relu-sigmoid", zero_point=-254, seed=0)
+    def test_factored_kernel_matches_dequantized_values(self, variant, zero_point, seed):
+        # rescaling once per output neuron, with the zero-point term
+        # s*z*(sum(x) + 1), gives the per-parameter dequantized values,
+        # and so does the deployed per-parameter route
+        rng = np.random.default_rng(seed)
+        qm = random_qmodel(rng, variant, zero_point)
+        beat = rng.uniform(0, 2, 61)
+        expected = model_forward(dequantize_model(qm), beat)
+        for got in (
+            forward_temporary_dequantized(qm, beat),
+            _forward_int8(qm, beat, _per_parameter_layer),
+        ):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+
 
 def random_qmodel(rng, variant="sigmoid-sigmoid", zero_point=0) -> QuantizedModel:
     q = QuantParams(
@@ -337,8 +362,24 @@ class TestCostReports:
         report = memory_report_from_shapes([(61, 128), (128, 64), (64, 4)])
         assert report.over_budget
 
+    def test_kernel_flops_exact(self):
+        # one rescale per output neuron on top of the booked count; a
+        # nonzero zero point adds sum(x), its + 1, the product with z and
+        # one add per output neuron
+        shapes = [(61, 10), (10, 4)]
+        symmetric = kernel_flops_report(shapes, 0)
+        assert symmetric.layers == ((61, 10, 1240), (10, 4, 88))
+        assert symmetric.total == 1328
+        asymmetric = kernel_flops_report(shapes, 37)
+        assert asymmetric.layers == ((61, 10, 1312), (10, 4, 103))
+        assert asymmetric.total == 1415
+
     def test_report_text_contains_totals(self, rng):
         qm = random_qmodel(rng)
-        text = format_cost_report(flops_report(qm.shapes), memory_report(qm))
+        text = format_cost_report(
+            flops_report(qm.shapes), memory_report(qm), kernel_flops_report(qm.shapes, 0)
+        )
         for token in ("1230", "84", "1314", "664", "667", "600", "1267", "2048"):
+            assert token in text
+        for token in ("1240", "88", "1328", "really takes 4"):
             assert token in text
