@@ -7,7 +7,9 @@ Quantized models:  magic TECQ, variant tag, quantization parameters
                    blobs, CRC32.
 
 Round trips are bit-exact; a trailing CRC32 guards against truncation
-and corruption.
+and corruption. Each layer header also stores its activation; it must be
+the one the variant tag names, which is the only activation a loaded
+model carries.
 """
 
 from __future__ import annotations
@@ -73,18 +75,27 @@ def _open_checked(path, magic: bytes) -> _Reader:
     version, taglen = rd.unpack("<BB")
     if version != FORMAT_VERSION:
         raise ChecksumError(f"{path}: unsupported format version {version}")
-    rd.variant = rd.take(taglen).decode("ascii")
+    # a non-ASCII tag decodes to an unknown variant, which the header check rejects
+    rd.variant = rd.take(taglen).decode("ascii", errors="replace")
     return rd
 
 
-def _read_layer_headers(rd: _Reader) -> list[tuple[int, int, str]]:
+def _read_layer_headers(rd: _Reader) -> list[tuple[int, int]]:
+    """Layer shapes, after checking each stored activation against the variant tag."""
+    if rd.variant not in VARIANTS:
+        raise ChecksumError(f"{rd.path}: unknown variant tag {rd.variant!r}")
     (n_layers,) = rd.unpack("<B")
     if n_layers != 2:
         raise ChecksumError(f"{rd.path}: expected 2 layers, found {n_layers}")
     out = []
-    for _ in range(n_layers):
+    for i, act in enumerate(VARIANTS[rd.variant], 1):
         fan_in, fan_out, act_idx = rd.unpack("<IIB")
-        out.append((fan_in, fan_out, ACTIVATIONS[act_idx]))
+        if act_idx >= len(ACTIVATIONS) or ACTIVATIONS[act_idx] != act:
+            raise ChecksumError(
+                f"{rd.path}: layer {i} activation byte {act_idx} is not {act!r},"
+                f" which variant {rd.variant!r} applies"
+            )
+        out.append((fan_in, fan_out))
     return out
 
 
@@ -98,14 +109,13 @@ def save_model(model: DenseModel, path) -> None:
 def load_model(path) -> DenseModel:
     rd = _open_checked(path, MAGIC_FLOAT)
     layers = []
-    headers = _read_layer_headers(rd)
-    for fan_in, fan_out, act in headers:
+    for fan_in, fan_out in _read_layer_headers(rd):
         w = np.frombuffer(rd.take(8 * fan_in * fan_out), dtype="<f8").reshape(
             fan_in, fan_out
         )
         b = np.frombuffer(rd.take(8 * fan_out), dtype="<f8")
-        layers.append(DenseLayer(w.copy(), b.copy(), act))
-    return DenseModel(layers[0], layers[1], rd.variant)
+        layers.append(DenseLayer(w.copy(), b.copy()))
+    return DenseModel(*layers, rd.variant)
 
 
 def save_qmodel(qmodel: QuantizedModel, path) -> None:
@@ -128,25 +138,23 @@ def save_qmodel(qmodel: QuantizedModel, path) -> None:
 def load_qmodel(path) -> QuantizedModel:
     rd = _open_checked(path, MAGIC_QUANT)
     mode_flag, scale, zero_point, alpha, beta = rd.unpack("<Bdidd")
+    if mode_flag not in (0, 1):
+        raise ChecksumError(f"{path}: unknown quantization mode byte {mode_flag}")
     qp = QuantParams(
         scale=scale,
         zero_point=zero_point,
         alpha=alpha,
         beta=beta,
-        mode="symmetric" if mode_flag == 0 else "asymmetric",
+        mode=("symmetric", "asymmetric")[mode_flag],
     )
-    headers = _read_layer_headers(rd)
-    blobs = []
-    for fan_in, fan_out, _ in headers:
+    codes = []
+    for fan_in, fan_out in _read_layer_headers(rd):
         w = np.frombuffer(rd.take(fan_in * fan_out), dtype=np.int8).reshape(
             fan_in, fan_out
         )
         b = np.frombuffer(rd.take(fan_out), dtype=np.int8)
-        blobs.append((w.copy(), b.copy()))
-    return QuantizedModel(
-        w1=blobs[0][0], b1=blobs[0][1], w2=blobs[1][0], b2=blobs[1][1],
-        qparams=qp, variant=rd.variant,
-    )
+        codes += [w.copy(), b.copy()]
+    return QuantizedModel(*codes, qparams=qp, variant=rd.variant)
 
 
 def load_any(path) -> DenseModel | QuantizedModel:
@@ -166,13 +174,13 @@ def model_to_json(model: DenseModel) -> dict:
         "variant": model.variant,
         "layers": [
             {
-                "fan_in": layer.fan_in,
-                "fan_out": layer.fan_out,
-                "activation": layer.activation,
-                "weights": layer.weights.tolist(),
-                "bias": layer.bias.tolist(),
+                "fan_in": w.shape[0],
+                "fan_out": w.shape[1],
+                "activation": activation,
+                "weights": w.tolist(),
+                "bias": b.tolist(),
             }
-            for layer in (model.layer1, model.layer2)
+            for (w, b), activation in zip(model.pairs, VARIANTS[model.variant])
         ],
     }
 
@@ -190,7 +198,7 @@ def qmodel_to_json(qmodel: QuantizedModel) -> dict:
         "beta": qp.beta,
         "layers": [
             {"weights": w.tolist(), "bias": b.tolist()}
-            for w, b in ((qmodel.w1, qmodel.b1), (qmodel.w2, qmodel.b2))
+            for w, b in qmodel.pairs
         ],
     }
 

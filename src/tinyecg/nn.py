@@ -1,9 +1,16 @@
 """Dense two-layer network forward pass: the numeric core of the classifier.
 
 The deployed topology is 61 -> 10 -> 4 with one activation per layer;
-four activation pairings are supported. Shapes are not hard-coded so the
-same code serves reduced test fixtures and the distilled 61 -> 4 -> 4
-student. Outputs follow the fixed class order N, S, V, F.
+four activation pairings are supported, and a model's variant tag alone
+names them (`VARIANTS`): layers hold only weights and biases. Shapes are
+not hard-coded so the same code serves reduced test fixtures and the
+distilled 61 -> 4 -> 4 student. Outputs follow the fixed class order
+N, S, V, F.
+
+Every single-beat inference, float or int8, runs through one walker,
+`forward`, which checks the beat's shape once and applies a layer kernel
+to each (weights, bias) pair with that layer's activation; `dense` is
+the float kernel.
 """
 
 from __future__ import annotations
@@ -67,7 +74,6 @@ _ACT_FN = {SIGMOID: sigmoid, RELU: relu, SOFTMAX: softmax}
 class DenseLayer:
     weights: np.ndarray  # (fan_in, fan_out)
     bias: np.ndarray  # (fan_out,)
-    activation: str
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -76,20 +82,6 @@ class DenseLayer:
             raise ValueError(
                 f"inconsistent layer shapes {self.weights.shape} / {self.bias.shape}"
             )
-        if self.activation not in _ACT_FN:
-            raise ValueError(f"unknown activation {self.activation!r}")
-
-    @property
-    def fan_in(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def fan_out(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def param_count(self) -> int:
-        return self.weights.size + self.bias.size
 
 
 @dataclass
@@ -103,25 +95,28 @@ class DenseModel:
             raise ValueError(
                 f"unknown variant {self.variant!r}; expected one of {sorted(VARIANTS)}"
             )
-        if self.layer1.fan_out != self.layer2.fan_in:
-            raise ValueError(
-                f"layer widths disagree: {self.layer1.fan_out} vs {self.layer2.fan_in}"
-            )
+        (_, hidden), (fan_in, _) = self.shapes
+        if hidden != fan_in:
+            raise ValueError(f"layer widths disagree: {hidden} vs {fan_in}")
+
+    @property
+    def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Live (weights, bias) views per layer: [(W1, b1), (W2, b2)]."""
+        return [(self.layer1.weights, self.layer1.bias),
+                (self.layer2.weights, self.layer2.bias)]
 
     @property
     def shapes(self) -> list[tuple[int, int]]:
-        return [(self.layer1.fan_in, self.layer1.fan_out),
-                (self.layer2.fan_in, self.layer2.fan_out)]
-
-    @property
-    def param_count(self) -> int:
-        return self.layer1.param_count + self.layer2.param_count
+        return [w.shape for w, _ in self.pairs]
 
     @property
     def parameters(self) -> list[np.ndarray]:
         """Live views in fixed order: W1, b1, W2, b2."""
-        return [self.layer1.weights, self.layer1.bias,
-                self.layer2.weights, self.layer2.bias]
+        return [p for pair in self.pairs for p in pair]
+
+    @property
+    def param_count(self) -> int:
+        return sum(p.size for p in self.parameters)
 
 
 def glorot_init(
@@ -130,18 +125,13 @@ def glorot_init(
     rng: np.random.Generator,
 ) -> DenseModel:
     """Uniform(-sqrt(6/(fan_in+fan_out)), +...) weights, zero biases."""
-    acts = VARIANTS[variant]
     layers = []
-    for (fan_in, fan_out), act in zip(shapes, acts):
+    for fan_in, fan_out in shapes:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         layers.append(
-            DenseLayer(
-                rng.uniform(-limit, limit, size=(fan_in, fan_out)),
-                np.zeros(fan_out),
-                act,
-            )
+            DenseLayer(rng.uniform(-limit, limit, size=(fan_in, fan_out)), np.zeros(fan_out))
         )
-    return DenseModel(layers[0], layers[1], variant)
+    return DenseModel(*layers, variant)
 
 
 def standard_model(variant: str, seed: int = 0) -> DenseModel:
@@ -153,16 +143,30 @@ def standard_model(variant: str, seed: int = 0) -> DenseModel:
     )
 
 
-def layer_forward(x, layer: DenseLayer) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (layer.fan_in,):
-        raise ValueError(f"expected input of shape ({layer.fan_in},), got {x.shape}")
-    return _ACT_FN[layer.activation](x @ layer.weights + layer.bias)
+def dense(x, w, b, activation: str) -> np.ndarray:
+    """One float dense layer: activation(x @ W + b)."""
+    return _ACT_FN[activation](x @ w + b)
+
+
+def forward(model, beat, kernel=dense, *args) -> np.ndarray:
+    """Walk one beat through `model`, float or int8, one kernel call per layer.
+
+    Each layer runs `kernel(x, weights, bias, activation, *args)`, its
+    activation taken from the model's variant.
+    """
+    x = np.asarray(beat, dtype=np.float64)
+    pairs = model.pairs
+    fan_in = pairs[0][0].shape[0]
+    if x.shape != (fan_in,):
+        raise ValueError(f"expected beat of shape ({fan_in},), got {x.shape}")
+    for (w, b), activation in zip(pairs, VARIANTS[model.variant]):
+        x = kernel(x, w, b, activation, *args)
+    return x
 
 
 def model_forward(model: DenseModel, beat) -> np.ndarray:
     """Forward one beat window; returns one score per class in N,S,V,F order."""
-    return layer_forward(layer_forward(beat, model.layer1), model.layer2)
+    return forward(model, beat)
 
 
 def predict(model: DenseModel, beat) -> str:

@@ -4,28 +4,31 @@ One global scale/zero-point pair covers all 664 parameters. Symmetric
 mode clips to [-max|p|, +max|p|] so real zero lands exactly on integer
 code 0; asymmetric mode uses the raw [min, max] range.
 
-`forward_temporary_dequantized` computes what the deployed kernel
-computes: parameters stay int8-resident, and the deployed route scales
-each one back to a real value at its moment of use, so the working set
-grows by a few bytes instead of 4x. The host kernel accumulates on the
-int8 codes instead and rescales once per output neuron (Jacob et al.
-2018). With one global scale s and zero point z,
+Every int8 inference runs through `nn.forward`, the walker float models
+use too; only the layer kernel differs, and the model's variant names
+each layer's activation. `forward_temporary_dequantized` computes what
+the deployed kernel computes: parameters stay int8-resident, and the
+deployed route scales each one back to a real value at its moment of
+use, so the working set grows by a few bytes instead of 4x. The host
+kernel `_temporary_layer` accumulates on the int8 codes instead and
+rescales once per output neuron (Jacob et al. 2018). With one global
+scale s and zero point z,
 x @ s(W_q + z) + s(b_q + z) = s(x @ W_q + b_q + z(sum(x) + 1)), so the
 two routes are equal in real arithmetic and differ only in rounding.
 The live stream takes the factored kernel; batch eval
-(`predict_labels_quantized`) replays the deployed per-parameter route.
-`forward_quantized_only` instead feeds the raw integer codes straight
-into the matmul, the cheapest (and least accurate) deployment mode.
+(`predict_labels_quantized`) replays the deployed per-parameter route,
+`_per_parameter_layer`. `forward_quantized_only` instead feeds the raw
+integer codes to the float kernel `nn.dense`, the cheapest (and least
+accurate) deployment mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .nn import _ACT_FN, VARIANTS, DenseLayer, DenseModel
+from .nn import _ACT_FN, VARIANTS, DenseLayer, DenseModel, dense, forward
 
 INT8_MIN = -127
 INT8_MAX = 127
@@ -81,12 +84,17 @@ class QuantizedModel:
             raise ValueError(f"unknown variant {self.variant!r}")
 
     @property
+    def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Live (codes, bias codes) per layer: [(w1, b1), (w2, b2)]."""
+        return [(self.w1, self.b1), (self.w2, self.b2)]
+
+    @property
     def parameters(self) -> list[np.ndarray]:
-        return [self.w1, self.b1, self.w2, self.b2]
+        return [p for pair in self.pairs for p in pair]
 
     @property
     def shapes(self) -> list[tuple[int, int]]:
-        return [self.w1.shape, self.w2.shape]
+        return [w.shape for w, _ in self.pairs]
 
     @property
     def param_count(self) -> int:
@@ -139,13 +147,9 @@ def quantize_model(model: DenseModel, mode: str = "symmetric") -> QuantizedModel
 
 def dequantize_model(qmodel: QuantizedModel) -> DenseModel:
     """Materialize the whole model back to reals (the non-temporary route)."""
-    acts = VARIANTS[qmodel.variant]
     q = qmodel.qparams
-    return DenseModel(
-        DenseLayer(dequantize(qmodel.w1, q), dequantize(qmodel.b1, q), acts[0]),
-        DenseLayer(dequantize(qmodel.w2, q), dequantize(qmodel.b2, q), acts[1]),
-        qmodel.variant,
-    )
+    layers = (DenseLayer(dequantize(w, q), dequantize(b, q)) for w, b in qmodel.pairs)
+    return DenseModel(*layers, qmodel.variant)
 
 
 def _temporary_layer(x, w_q, b_q, activation, q: QuantParams) -> np.ndarray:
@@ -176,28 +180,14 @@ def _per_parameter_layer(x, w_q, b_q, activation, q: QuantParams) -> np.ndarray:
     return _ACT_FN[activation](result)
 
 
-def _forward_int8(qmodel: QuantizedModel, beat, layer) -> np.ndarray:
-    x = np.asarray(beat, dtype=np.float64)
-    if x.shape != (qmodel.w1.shape[0],):
-        raise ValueError(f"expected beat of shape ({qmodel.w1.shape[0]},), got {x.shape}")
-    acts = VARIANTS[qmodel.variant]
-    hidden = layer(x, qmodel.w1, qmodel.b1, acts[0], qmodel.qparams)
-    return layer(hidden, qmodel.w2, qmodel.b2, acts[1], qmodel.qparams)
-
-
 def forward_temporary_dequantized(qmodel: QuantizedModel, beat) -> np.ndarray:
     """Inference with int8-resident parameters, rescaled by the global scale."""
-    return _forward_int8(qmodel, beat, _temporary_layer)
+    return forward(qmodel, beat, _temporary_layer, qmodel.qparams)
 
 
 def forward_quantized_only(qmodel: QuantizedModel, beat) -> np.ndarray:
     """Inference reading the integer codes as real weights, with no rescaling."""
-    x = np.asarray(beat, dtype=np.float64)
-    if x.shape != (qmodel.w1.shape[0],):
-        raise ValueError(f"expected beat of shape ({qmodel.w1.shape[0]},), got {x.shape}")
-    acts = VARIANTS[qmodel.variant]
-    hidden = _ACT_FN[acts[0]](x @ qmodel.w1.astype(np.float64) + qmodel.b1.astype(np.float64))
-    return _ACT_FN[acts[1]](hidden @ qmodel.w2.astype(np.float64) + qmodel.b2.astype(np.float64))
+    return forward(qmodel, beat, dense)
 
 
 def predict_labels_quantized(
@@ -208,11 +198,10 @@ def predict_labels_quantized(
     `temporary` runs the deployed kernel's per-parameter route; the live
     stream calls the factored `forward_temporary_dequantized` per beat.
     """
-    forward = (
-        partial(_forward_int8, layer=_per_parameter_layer) if temporary else forward_quantized_only
-    )
+    kernel, args = (_per_parameter_layer, (qmodel.qparams,)) if temporary else (dense, ())
     return np.array(
-        [int(np.argmax(forward(qmodel, w))) for w in np.asarray(windows, dtype=np.float64)],
+        [int(np.argmax(forward(qmodel, w, kernel, *args)))
+         for w in np.asarray(windows, dtype=np.float64)],
         dtype=np.int64,
     )
 

@@ -4,10 +4,12 @@ Gradients are exact for all four activation pairings (the softmax path
 uses the full Jacobian, not the cross-entropy shortcut). One epoch takes
 one optimizer step on a freshly shuffled batch; set `full_pass=True` to
 sweep the whole training set in batch-size chunks per epoch instead.
+`fit` and `distill` draw their batches from the same schedule, `_epochs`.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import warnings
 from dataclasses import dataclass, replace
@@ -16,16 +18,7 @@ import numpy as np
 
 from .ingest import BeatSet
 from .metrics import confusion, scores
-from .nn import (
-    _ACT_FN,
-    RELU,
-    SIGMOID,
-    VARIANTS,
-    DenseLayer,
-    DenseModel,
-    glorot_init,
-    softmax,
-)
+from .nn import _ACT_FN, RELU, SIGMOID, VARIANTS, DenseModel, glorot_init, softmax
 
 N_CLASSES = 4
 
@@ -165,13 +158,19 @@ def adam_step(
     return params, state
 
 
-def _clone(model: DenseModel) -> DenseModel:
-    a1, a2 = VARIANTS[model.variant]
-    return DenseModel(
-        DenseLayer(model.layer1.weights.copy(), model.layer1.bias.copy(), a1),
-        DenseLayer(model.layer2.weights.copy(), model.layer2.bias.copy(), a2),
-        model.variant,
-    )
+def _epochs(n: int, config: TrainConfig, rng: np.random.Generator):
+    """Yield each epoch's index batches over `n` samples, freshly shuffled.
+
+    One batch of `config.batch_size` per epoch, or, with `full_pass`, the
+    whole shuffled set in batch-size chunks.
+    """
+    batch = min(config.batch_size, n)
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        if config.full_pass:
+            yield [order[start : start + batch] for start in range(0, n, batch)]
+        else:
+            yield [order[:batch]]
 
 
 def _evaluate(model: DenseModel, beats: BeatSet) -> tuple[float, float]:
@@ -205,7 +204,7 @@ def fit(
         shapes = [(train.windows.shape[1], 10), (10, N_CLASSES)]
         model = glorot_init(shapes, config.variant, rng)
     else:
-        model = _clone(init_model)
+        model = copy.deepcopy(init_model)
     params = model.parameters
 
     masks = [np.zeros_like(p, dtype=bool) for p in params]
@@ -219,23 +218,11 @@ def fit(
 
     targets = one_hot(train.labels)
     state = AdamState.for_params(params)
-    n = len(train)
-    batch = min(config.batch_size, n)
     losses = np.empty(config.epochs)
-
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        if config.full_pass:
-            epoch_losses = []
-            for start in range(0, n, batch):
-                idx = order[start : start + batch]
-                epoch_losses.append(
-                    _step(model, params, masks, train, targets, idx, state, config)
-                )
-            losses[epoch] = float(np.mean(epoch_losses))
-        else:
-            idx = order[:batch]
-            losses[epoch] = _step(model, params, masks, train, targets, idx, state, config)
+    for epoch, batches in enumerate(_epochs(len(train), config, rng)):
+        losses[epoch] = np.mean(
+            [_step(model, params, masks, train, targets, idx, state, config) for idx in batches]
+        )
 
     trace = TrainTrace(losses)
     trace.train_accuracy, trace.train_macro_f1 = _evaluate(model, train)
@@ -282,7 +269,7 @@ def prune_and_retrain(
     iterated.
     """
     mask = prune_mask(model)
-    pruned = _clone(model)
+    pruned = copy.deepcopy(model)
     for p, m in zip(pruned.parameters, mask):
         p[m] = 0.0
     retrain_config = replace(config, learning_rate=config.learning_rate / 100.0)
@@ -312,7 +299,9 @@ def distill(
 
     Loss = 0.9 * KL(teacher softmax(z/T) || student softmax(z/T))
          + 0.1 * cross-entropy(hard one-hot targets, student softmax(z)).
-    Softmax is applied to both logit sets regardless of variant.
+    Softmax is applied to both logit sets regardless of variant. Batches
+    follow `fit`'s schedule, `config.full_pass` included; no caller sets
+    it, so the student still takes one step per epoch.
     """
     soft_targets = softmax(_logits(teacher, train.windows) / temperature)
     hard_targets = one_hot(train.labels)
@@ -322,14 +311,12 @@ def distill(
     )
     params = student.parameters
     state = AdamState.for_params(params)
-    n = len(train)
-    batch = min(config.batch_size, n)
-    for _ in range(config.epochs):
-        idx = rng.permutation(n)[:batch]
-        grads = distill_backward(
-            student, train.windows[idx], soft_targets[idx], hard_targets[idx], temperature
-        )
-        adam_step(params, grads, state, config.learning_rate)
+    for batches in _epochs(len(train), config, rng):
+        for idx in batches:
+            grads = distill_backward(
+                student, train.windows[idx], soft_targets[idx], hard_targets[idx], temperature
+            )
+            adam_step(params, grads, state, config.learning_rate)
     return student
 
 

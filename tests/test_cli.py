@@ -194,12 +194,23 @@ class TestQuantize:
         code = main(["quantize", "--model", str(bad), "--out", str(tmp_path / "c.tnq")])
         assert code == EXIT_CHECKSUM
 
+    def test_bad_activation_byte_checksum_exit(self, workspace, tmp_path, patch_checked_byte):
+        # the CRC matches, but layer 1's activation byte names no activation
+        bad = tmp_path / "bad_activation.tnn"
+        bad.write_bytes((workspace / "model.tnn").read_bytes())
+        # magic, version and tag length (6 bytes), the tag, the layer
+        # count (1), then layer 1's fan_in and fan_out (8)
+        taglen = bad.read_bytes()[5]
+        patch_checked_byte(bad, 6 + taglen + 1 + 8, 7)
+        code = main(["quantize", "--model", str(bad), "--out", str(tmp_path / "c.tnq")])
+        assert code == EXIT_CHECKSUM
+
     def test_over_budget_exit_code(self, tmp_path):
         # an oversized topology cannot fit the 2 KB SRAM budget
         rng = np.random.default_rng(0)
         big = DenseModel(
-            DenseLayer(rng.normal(size=(61, 300)), np.zeros(300), "sigmoid"),
-            DenseLayer(rng.normal(size=(300, 4)), np.zeros(4), "sigmoid"),
+            DenseLayer(rng.normal(size=(61, 300)), np.zeros(300)),
+            DenseLayer(rng.normal(size=(300, 4)), np.zeros(4)),
             "sigmoid-sigmoid",
         )
         save_model(big, tmp_path / "big.tnn")

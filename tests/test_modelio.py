@@ -13,8 +13,20 @@ from tinyecg.modelio import (
     save_model,
     save_qmodel,
 )
-from tinyecg.nn import standard_model
+from tinyecg.nn import ACTIVATIONS, standard_model
 from tinyecg.quant import quantize_model
+
+# bytes before the variant tag: magic, format version, tag length
+TAG_START = 6
+# a .tnq stores mode, scale, zero point, alpha and beta after the tag
+QPARAM_BYTES = 29
+
+
+def first_activation_byte(path, qparam_bytes: int = 0) -> int:
+    """Offset of layer 1's activation byte: after the tag, the optional
+    quantization parameters, the layer count and fan_in, fan_out."""
+    taglen = path.read_bytes()[TAG_START - 1]
+    return TAG_START + taglen + qparam_bytes + 1 + 8
 
 
 @pytest.fixture
@@ -63,6 +75,56 @@ class TestFloatFormat:
             load_model(path)
 
 
+class TestLayerHeaderCheck:
+    """A CRC-valid file whose stored activations disagree with its variant
+    tag is rejected: the tag alone names the activations a model applies."""
+
+    def test_out_of_range_activation_byte_rejected(self, model, tmp_path, patch_checked_byte):
+        path = tmp_path / "m.tnn"
+        save_model(model, path)
+        patch_checked_byte(path, first_activation_byte(path), 7)
+        with pytest.raises(ChecksumError, match="activation byte 7") as exc:
+            load_model(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("suffix", ["tnn", "tnq"])
+    def test_activation_disagreeing_with_variant_rejected(
+        self, model, qmodel, tmp_path, patch_checked_byte, suffix
+    ):
+        # relu-softmax applies relu in layer 1; store sigmoid there instead
+        path = tmp_path / f"m.{suffix}"
+        if suffix == "tnn":
+            save_model(model, path)
+            pos, load = first_activation_byte(path), load_model
+        else:
+            save_qmodel(qmodel, path)
+            pos, load = first_activation_byte(path, QPARAM_BYTES), load_qmodel
+        assert path.read_bytes()[pos] == ACTIVATIONS.index("relu")
+        patch_checked_byte(path, pos, ACTIVATIONS.index("sigmoid"))
+        with pytest.raises(ChecksumError, match="'relu'"):
+            load(path)
+
+    @pytest.mark.parametrize("byte", [ord("i"), 0xFF])
+    def test_unknown_variant_tag_rejected(self, model, tmp_path, patch_checked_byte, byte):
+        # relu-softmax -> relu-softmix, or a non-ASCII byte in its place
+        path = tmp_path / "m.tnn"
+        save_model(model, path)
+        pos = TAG_START + path.read_bytes()[TAG_START:].index(b"softmax") + 5
+        patch_checked_byte(path, pos, byte)
+        with pytest.raises(ChecksumError, match="unknown variant tag 'relu-softm.x'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("mode_byte", [2, 255])
+    def test_unknown_quantization_mode_rejected(
+        self, qmodel, tmp_path, patch_checked_byte, mode_byte
+    ):
+        path = tmp_path / "q.tnq"
+        save_qmodel(qmodel, path)
+        patch_checked_byte(path, TAG_START + path.read_bytes()[TAG_START - 1], mode_byte)
+        with pytest.raises(ChecksumError, match=f"mode byte {mode_byte}"):
+            load_qmodel(path)
+
+
 class TestQuantFormat:
     def test_bit_exact_round_trip(self, qmodel, tmp_path):
         path = tmp_path / "q.tnq"
@@ -105,7 +167,7 @@ class TestJsonMirror:
     def test_mirror_matches_binary(self, model, tmp_path):
         doc = model_to_json(model)
         assert doc["variant"] == "relu-softmax"
-        assert len(doc["layers"]) == 2
+        assert [layer["activation"] for layer in doc["layers"]] == ["relu", "softmax"]
         np.testing.assert_allclose(doc["layers"][0]["weights"], model.layer1.weights)
 
         save_json_mirror(model, tmp_path / "m.json")

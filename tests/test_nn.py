@@ -10,8 +10,9 @@ from tinyecg.nn import (
     VARIANTS,
     DenseLayer,
     DenseModel,
+    dense,
+    forward,
     glorot_init,
-    layer_forward,
     model_forward,
     predict,
     relu,
@@ -40,14 +41,15 @@ def reference_forward(model, beat):
         return [e / total for e in exps]
 
     x = [float(v) for v in beat]
-    for layer in (model.layer1, model.layer2):
+    for layer, activation in zip((model.layer1, model.layer2), VARIANTS[model.variant]):
+        fan_in, fan_out = layer.weights.shape
         z = []
-        for j in range(layer.fan_out):
+        for j in range(fan_out):
             acc = float(layer.bias[j])
-            for k in range(layer.fan_in):
+            for k in range(fan_in):
                 acc += x[k] * float(layer.weights[k, j])
             z.append(acc)
-        x = act(layer.activation, z)
+        x = act(activation, z)
     return np.array(x)
 
 
@@ -115,25 +117,44 @@ class TestSoftmax:
 
 class TestLayerForward:
     def test_zero_input_sigmoid(self):
-        layer = DenseLayer(np.zeros((3, 2)), np.zeros(2), "sigmoid")
-        assert layer_forward(np.zeros(3), layer) == pytest.approx([0.5, 0.5])
+        assert dense(np.zeros(3), np.zeros((3, 2)), np.zeros(2), "sigmoid") == pytest.approx(
+            [0.5, 0.5]
+        )
 
     def test_identity_relu(self):
-        layer = DenseLayer(np.array([[1.0]]), np.array([0.0]), "relu")
-        assert layer_forward(np.array([7.0]), layer) == pytest.approx([7.0])
+        out = dense(np.array([7.0]), np.array([[1.0]]), np.array([0.0]), "relu")
+        assert out == pytest.approx([7.0])
 
     def test_hand_computed_2x2(self):
         # z = x @ W + b with x=[1,-1], W=[[1,2],[3,4]], b=[0.5,-0.5]
         #   z = [1-3+0.5, 2-4-0.5] = [-1.5, -2.5]
-        layer = DenseLayer(np.array([[1.0, 2.0], [3.0, 4.0]]),
-                           np.array([0.5, -0.5]), "sigmoid")
+        w, b = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, -0.5])
         expected = [1 / (1 + math.exp(1.5)), 1 / (1 + math.exp(2.5))]
-        assert layer_forward(np.array([1.0, -1.0]), layer) == pytest.approx(expected)
+        assert dense(np.array([1.0, -1.0]), w, b, "sigmoid") == pytest.approx(expected)
 
     def test_shape_mismatch_rejected(self):
-        layer = DenseLayer(np.zeros((3, 2)), np.zeros(2), "relu")
-        with pytest.raises(ValueError):
-            layer_forward(np.zeros(4), layer)
+        model = DenseModel(
+            DenseLayer(np.zeros((3, 2)), np.zeros(2)),
+            DenseLayer(np.zeros((2, 2)), np.zeros(2)),
+            "relu-sigmoid",
+        )
+        with pytest.raises(ValueError, match="shape"):
+            forward(model, np.zeros(4))
+
+    def test_walker_applies_the_variant_activations(self):
+        # the variant alone names each layer's activation: a kernel that
+        # records its calls sees them in layer order, with the live pairs
+        model = standard_model("relu-softmax", seed=3)
+        seen = []
+
+        def kernel(x, w, b, activation, tag):
+            seen.append((w is model.layer1.weights or w is model.layer2.weights,
+                         activation, tag))
+            return dense(x, w, b, activation)
+
+        out = forward(model, np.ones(61), kernel, "t")
+        assert seen == [(True, "relu", "t"), (True, "softmax", "t")]
+        np.testing.assert_array_equal(out, model_forward(model, np.ones(61)))
 
 
 class TestDenseModel:
@@ -145,16 +166,16 @@ class TestDenseModel:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
             DenseModel(
-                DenseLayer(np.zeros((2, 2)), np.zeros(2), "relu"),
-                DenseLayer(np.zeros((2, 2)), np.zeros(2), "relu"),
+                DenseLayer(np.zeros((2, 2)), np.zeros(2)),
+                DenseLayer(np.zeros((2, 2)), np.zeros(2)),
                 "relu-relu",
             )
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="widths"):
             DenseModel(
-                DenseLayer(np.zeros((4, 3)), np.zeros(3), "relu"),
-                DenseLayer(np.zeros((2, 2)), np.zeros(2), "sigmoid"),
+                DenseLayer(np.zeros((4, 3)), np.zeros(3)),
+                DenseLayer(np.zeros((2, 2)), np.zeros(2)),
                 "relu-sigmoid",
             )
 
@@ -192,8 +213,8 @@ class TestPredict:
     def _fixed_output_model(self, out):
         # softmax-free: bias alone fixes layer-2 preactivation, weights zero
         return DenseModel(
-            DenseLayer(np.zeros((61, 10)), np.zeros(10), "relu"),
-            DenseLayer(np.zeros((10, 4)), np.array(out, dtype=float), "sigmoid"),
+            DenseLayer(np.zeros((61, 10)), np.zeros(10)),
+            DenseLayer(np.zeros((10, 4)), np.array(out, dtype=float)),
             "relu-sigmoid",
         )
 

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tinyecg.nn import VARIANTS, model_forward, predict_labels, standard_model
+from tinyecg.nn import VARIANTS, forward, model_forward, predict_labels, standard_model
 from tinyecg.quant import (
     DegenerateRangeError,
     QuantParams,
     QuantizedModel,
-    _forward_int8,
     _per_parameter_layer,
     compute_qparams,
     dequantize,
@@ -258,7 +257,7 @@ class TestForwardTemporaryDequantized:
         expected = model_forward(dequantize_model(qm), beat)
         for got in (
             forward_temporary_dequantized(qm, beat),
-            _forward_int8(qm, beat, _per_parameter_layer),
+            forward(qm, beat, _per_parameter_layer, qm.qparams),
         ):
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
 
@@ -287,27 +286,38 @@ class TestPredictLabels:
     )
     @example(variant="relu-softmax", zero_point=0, n_beats=0, seed=0)
     @example(variant="sigmoid-sigmoid", zero_point=37, n_beats=0, seed=0)
+    # beat 22 is an exact two-way tie that the routes break differently
+    @example(variant="sigmoid-softmax", zero_point=0, n_beats=23, seed=7997)
     def test_match_per_beat_argmax(self, variant, zero_point, n_beats, seed):
-        # labels for an array of windows equal each beat's argmax in every
-        # mode, temporary dequantization agrees with the dequantized float
-        # model, and no beats gives no labels, not an error
+        # labels for an array of windows equal each beat's argmax of the
+        # same route in every mode, and no beats gives no labels, not an
+        # error. Across routes (the factored kernel, the dequantized float
+        # model) outputs agree only up to rounding, so labels are compared
+        # only where the per-parameter route's top two are > 1e-8 apart.
         rng = np.random.default_rng(seed)
         qm = random_qmodel(rng, variant, zero_point)
         model = dequantize_model(qm)
         windows = rng.uniform(0, 2, (n_beats, 61))
 
-        def per_beat(forward, m):
-            return np.array([np.argmax(forward(m, w)) for w in windows], dtype=np.int64)
+        def outputs(forward_fn, m, *args):
+            return np.array([forward_fn(m, w, *args) for w in windows]).reshape(n_beats, 4)
 
         default = predict_labels(model, windows)
         tdq = predict_labels_quantized(qm, windows, temporary=True)
         quantized = predict_labels_quantized(qm, windows, temporary=False)
         for labels in (default, tdq, quantized):
             assert labels.dtype == np.int64 and labels.shape == (n_beats,)
-        np.testing.assert_array_equal(default, per_beat(model_forward, model))
-        np.testing.assert_array_equal(tdq, per_beat(forward_temporary_dequantized, qm))
-        np.testing.assert_array_equal(tdq, default)
-        np.testing.assert_array_equal(quantized, per_beat(forward_quantized_only, qm))
+        per_parameter = outputs(forward, qm, _per_parameter_layer, qm.qparams)
+        np.testing.assert_array_equal(default, outputs(model_forward, model).argmax(axis=1))
+        np.testing.assert_array_equal(tdq, per_parameter.argmax(axis=1))
+        np.testing.assert_array_equal(
+            quantized, outputs(forward_quantized_only, qm).argmax(axis=1)
+        )
+        top_two = np.sort(per_parameter, axis=1)[:, -2:]
+        clear = top_two[:, 1] - top_two[:, 0] > 1e-8
+        factored = outputs(forward_temporary_dequantized, qm).argmax(axis=1)
+        np.testing.assert_array_equal(tdq[clear], factored[clear])
+        np.testing.assert_array_equal(tdq[clear], default[clear])
 
 
 class TestForwardQuantizedOnly:

@@ -1,0 +1,53 @@
+"""Smoke runs of the experiment scripts on a small synthetic beats file.
+
+They exercise `fit`, `distill`, `prune_and_retrain`, `fit_weights_only`,
+quantization and all three eval modes end to end, as a user runs them.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from tinyecg.synthetic import separable_beatset
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def beats_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("scripts") / "beats.npz"
+    separable_beatset(per_class=60, seed=0).save(path)  # 240 beats
+    return path
+
+
+def run_script(name, beats_path) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), "--beats", str(beats_path),
+         "--epochs", "20"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_run_ablations(beats_path):
+    out = run_script("run_ablations.py", beats_path)
+    for line in ("base trained", "pruned + retrained", "distilled (61-4-4 student)",
+                 "weights-only trained", "ablations below base accuracy:"):
+        assert line in out
+    table = out[out.index("model"):].splitlines()
+    assert [row.split()[0] for row in table[1:5]] == [
+        "base", "pruned", "distilled", "weights-only"]
+
+
+def test_reproduce_full_scale(beats_path):
+    out = run_script("reproduce_full_scale.py", beats_path)
+    assert "split: " in out and "cost report:" in out
+    for mode in ("default", "temporary-dequantized", "quantized-only"):
+        assert f"=== {mode} ===" in out
+    assert "mode ordering: default=" in out
+    assert "quantized-only drop:" in out

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinyecg.ingest import BeatSet
-from tinyecg.nn import VARIANTS, glorot_init, softmax, standard_model
+from tinyecg.nn import VARIANTS, glorot_init, model_forward, softmax, standard_model
 from tinyecg.synthetic import separable_beatset
 from tinyecg.train import (
     AdamState,
@@ -77,6 +79,27 @@ class TestMseLoss:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mse_loss(np.zeros((2, 4)), np.zeros((3, 4)))
+
+
+class TestForwardBatch:
+    @settings(deadline=None)
+    @given(
+        variant=st.sampled_from(sorted(VARIANTS)),
+        n_rows=st.integers(1, 20),
+        gain=st.floats(0.1, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_match_single_beat_walker(self, variant, n_rows, gain, seed):
+        # the training forward and the inference walker apply the same
+        # variant activations to the same parameters
+        rng = np.random.default_rng(seed)
+        model = glorot_init([(61, 10), (10, 4)], variant, rng)
+        for p in model.parameters:
+            p += gain * rng.normal(0, 1, p.shape)
+        x = rng.uniform(-2, 2, (n_rows, 61))
+        out = forward_batch(model, x)[3]
+        for row, beat in zip(out, x):
+            np.testing.assert_allclose(row, model_forward(model, beat), rtol=0, atol=1e-12)
 
 
 class TestBackward:
