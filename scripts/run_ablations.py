@@ -11,24 +11,15 @@ accuracy; the point of the table is how far below.
 import argparse
 import time
 
-import numpy as np
-
 from tinyecg.ingest import BeatSet, split
-from tinyecg.metrics import confusion, scores
 from tinyecg.train import (
     TrainConfig,
     distill,
+    evaluate,
     fit,
     fit_weights_only,
-    forward_batch,
     prune_and_retrain,
 )
-
-
-def evaluate(model, beats) -> tuple[float, float]:
-    _, _, _, out = forward_batch(model, beats.windows)
-    report = scores(confusion(beats.labels, np.argmax(out, axis=1)))
-    return report.accuracy, report.macro_f1
 
 
 def main() -> int:

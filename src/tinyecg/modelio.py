@@ -6,10 +6,13 @@ Quantized models:  magic TECQ, variant tag, quantization parameters
                    (mode, scale, zero point, clip range), per-layer int8
                    blobs, CRC32.
 
+Both formats share one parameter codec: the same two layer headers
+(shape and activation) followed by W1, b1, W2, b2, as float64 or int8.
 Round trips are bit-exact; a trailing CRC32 guards against truncation
-and corruption. Each layer header also stores its activation; it must be
-the one the variant tag names, which is the only activation a loaded
-model carries.
+and corruption. A CRC-valid file is still checked before any parameter
+is read: each stored activation must be the one the variant tag names
+(the only activation a loaded model carries), and layer 1's width must
+be layer 2's input width.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import ACTIVATIONS, VARIANTS, DenseLayer, DenseModel
+from .nn import ACTIVATIONS, VARIANTS, DenseModel
 from .quant import QuantParams, QuantizedModel
 
 MAGIC_FLOAT = b"TECG"
@@ -80,14 +83,15 @@ def _open_checked(path, magic: bytes) -> _Reader:
     return rd
 
 
-def _read_layer_headers(rd: _Reader) -> list[tuple[int, int]]:
-    """Layer shapes, after checking each stored activation against the variant tag."""
+def _read_params(rd: _Reader, dtype) -> list[np.ndarray]:
+    """W1, b1, W2, b2 as `dtype`, after checking the variant tag, the layer
+    count, each stored activation and that the layer widths agree."""
     if rd.variant not in VARIANTS:
         raise ChecksumError(f"{rd.path}: unknown variant tag {rd.variant!r}")
     (n_layers,) = rd.unpack("<B")
     if n_layers != 2:
         raise ChecksumError(f"{rd.path}: expected 2 layers, found {n_layers}")
-    out = []
+    shapes = []
     for i, act in enumerate(VARIANTS[rd.variant], 1):
         fan_in, fan_out, act_idx = rd.unpack("<IIB")
         if act_idx >= len(ACTIVATIONS) or ACTIVATIONS[act_idx] != act:
@@ -95,33 +99,38 @@ def _read_layer_headers(rd: _Reader) -> list[tuple[int, int]]:
                 f"{rd.path}: layer {i} activation byte {act_idx} is not {act!r},"
                 f" which variant {rd.variant!r} applies"
             )
-        out.append((fan_in, fan_out))
-    return out
+        shapes.append((fan_in, fan_out))
+    (_, hidden), (fan_in, _) = shapes
+    if hidden != fan_in:
+        raise ChecksumError(f"{rd.path}: layer widths disagree: {hidden} vs {fan_in}")
+    dtype = np.dtype(dtype)
+    params = []
+    for fan_in, fan_out in shapes:
+        w = np.frombuffer(rd.take(dtype.itemsize * fan_in * fan_out), dtype=dtype)
+        b = np.frombuffer(rd.take(dtype.itemsize * fan_out), dtype=dtype)
+        params += [w.reshape(fan_in, fan_out).copy(), b.copy()]
+    return params
+
+
+def _save(model, path, header: bytes, dtype) -> None:
+    body = header + _pack_shapes(model)
+    for arr in model.parameters:
+        body += np.ascontiguousarray(arr, dtype=dtype).tobytes()
+    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def save_model(model: DenseModel, path) -> None:
-    body = _pack_header(MAGIC_FLOAT, model.variant) + _pack_shapes(model)
-    for arr in model.parameters:
-        body += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    _save(model, path, _pack_header(MAGIC_FLOAT, model.variant), "<f8")
 
 
 def load_model(path) -> DenseModel:
     rd = _open_checked(path, MAGIC_FLOAT)
-    layers = []
-    for fan_in, fan_out in _read_layer_headers(rd):
-        w = np.frombuffer(rd.take(8 * fan_in * fan_out), dtype="<f8").reshape(
-            fan_in, fan_out
-        )
-        b = np.frombuffer(rd.take(8 * fan_out), dtype="<f8")
-        layers.append(DenseLayer(w.copy(), b.copy()))
-    return DenseModel(*layers, rd.variant)
+    return DenseModel(*_read_params(rd, "<f8"), rd.variant)
 
 
 def save_qmodel(qmodel: QuantizedModel, path) -> None:
     qp = qmodel.qparams
-    body = _pack_header(MAGIC_QUANT, qmodel.variant)
-    body += struct.pack(
+    header = _pack_header(MAGIC_QUANT, qmodel.variant) + struct.pack(
         "<Bdidd",
         0 if qp.mode == "symmetric" else 1,
         qp.scale,
@@ -129,10 +138,7 @@ def save_qmodel(qmodel: QuantizedModel, path) -> None:
         qp.alpha,
         qp.beta,
     )
-    body += _pack_shapes(qmodel)
-    for arr in qmodel.parameters:
-        body += np.ascontiguousarray(arr, dtype=np.int8).tobytes()
-    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    _save(qmodel, path, header, np.int8)
 
 
 def load_qmodel(path) -> QuantizedModel:
@@ -147,14 +153,7 @@ def load_qmodel(path) -> QuantizedModel:
         beta=beta,
         mode=("symmetric", "asymmetric")[mode_flag],
     )
-    codes = []
-    for fan_in, fan_out in _read_layer_headers(rd):
-        w = np.frombuffer(rd.take(fan_in * fan_out), dtype=np.int8).reshape(
-            fan_in, fan_out
-        )
-        b = np.frombuffer(rd.take(fan_out), dtype=np.int8)
-        codes += [w.copy(), b.copy()]
-    return QuantizedModel(*codes, qparams=qp, variant=rd.variant)
+    return QuantizedModel(*_read_params(rd, np.int8), qparams=qp, variant=rd.variant)
 
 
 def load_any(path) -> DenseModel | QuantizedModel:

@@ -2,7 +2,9 @@
 
 The deployed topology is 61 -> 10 -> 4 with one activation per layer;
 four activation pairings are supported, and a model's variant tag alone
-names them (`VARIANTS`): layers hold only weights and biases. Shapes are
+names them (`VARIANTS`). One record, `TwoLayerModel`, holds the
+parameters W1, b1, W2, b2 and checks the variant and the shapes for both
+the float `DenseModel` and the int8 `quant.QuantizedModel`. Shapes are
 not hard-coded so the same code serves reduced test fixtures and the
 distilled 61 -> 4 -> 4 student. Outputs follow the fixed class order
 N, S, V, F.
@@ -16,6 +18,7 @@ the float kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -71,30 +74,31 @@ _ACT_FN = {SIGMOID: sigmoid, RELU: relu, SOFTMAX: softmax}
 
 
 @dataclass
-class DenseLayer:
-    weights: np.ndarray  # (fan_in, fan_out)
-    bias: np.ndarray  # (fan_out,)
+class TwoLayerModel:
+    """The two dense layers' parameters, float or int8: W1 (fan_in, hidden),
+    b1 (hidden,), W2 (hidden, fan_out), b2 (fan_out,).
+
+    Subclasses add a `variant` field and set `dtype`; every array is
+    coerced to it, and the variant and shapes are checked here, once.
+    """
+
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
+
+    dtype: ClassVar[type] = np.float64
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[1],):
-            raise ValueError(
-                f"inconsistent layer shapes {self.weights.shape} / {self.bias.shape}"
-            )
-
-
-@dataclass
-class DenseModel:
-    layer1: DenseLayer
-    layer2: DenseLayer
-    variant: str
-
-    def __post_init__(self):
+        for name in ("w1", "b1", "w2", "b2"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=self.dtype))
         if self.variant not in VARIANTS:
             raise ValueError(
                 f"unknown variant {self.variant!r}; expected one of {sorted(VARIANTS)}"
             )
+        for w, b in self.pairs:
+            if w.ndim != 2 or b.shape != (w.shape[1],):
+                raise ValueError(f"inconsistent layer shapes {w.shape} / {b.shape}")
         (_, hidden), (fan_in, _) = self.shapes
         if hidden != fan_in:
             raise ValueError(f"layer widths disagree: {hidden} vs {fan_in}")
@@ -102,8 +106,7 @@ class DenseModel:
     @property
     def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Live (weights, bias) views per layer: [(W1, b1), (W2, b2)]."""
-        return [(self.layer1.weights, self.layer1.bias),
-                (self.layer2.weights, self.layer2.bias)]
+        return [(self.w1, self.b1), (self.w2, self.b2)]
 
     @property
     def shapes(self) -> list[tuple[int, int]]:
@@ -112,11 +115,18 @@ class DenseModel:
     @property
     def parameters(self) -> list[np.ndarray]:
         """Live views in fixed order: W1, b1, W2, b2."""
-        return [p for pair in self.pairs for p in pair]
+        return [self.w1, self.b1, self.w2, self.b2]
 
     @property
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters)
+
+
+@dataclass
+class DenseModel(TwoLayerModel):
+    """Float64 parameters of a trainable model."""
+
+    variant: str
 
 
 def glorot_init(
@@ -125,13 +135,11 @@ def glorot_init(
     rng: np.random.Generator,
 ) -> DenseModel:
     """Uniform(-sqrt(6/(fan_in+fan_out)), +...) weights, zero biases."""
-    layers = []
+    params = []
     for fan_in, fan_out in shapes:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        layers.append(
-            DenseLayer(rng.uniform(-limit, limit, size=(fan_in, fan_out)), np.zeros(fan_out))
-        )
-    return DenseModel(*layers, variant)
+        params += [rng.uniform(-limit, limit, size=(fan_in, fan_out)), np.zeros(fan_out)]
+    return DenseModel(*params, variant)
 
 
 def standard_model(variant: str, seed: int = 0) -> DenseModel:

@@ -115,7 +115,10 @@ class RPeakDetector:
         self.state = DetectorState()
         self.refractory_samples = int(round(refractory_s * spec.sampling_rate_hz))
         self.warmup_samples = int(round(warmup_s * spec.sampling_rate_hz))
-        self._warmup: list[float] = []
+        # A running max and sum (8 bytes) set the levels; the 2 s of warm-up
+        # samples themselves would need 2,880 B, more than the 2 KB SRAM.
+        self._warm_max = float("-inf")
+        self._warm_sum = 0.0
         self._prev = 0.0
         self._prev_index = -1
         self._rising = False
@@ -127,11 +130,12 @@ class RPeakDetector:
         n = self.buffer.head
 
         if n < self.warmup_samples:
-            self._warmup.append(y)
+            if y > self._warm_max:
+                self._warm_max = y
+            self._warm_sum += y
             if n == self.warmup_samples - 1:
-                self.state.signal_level = float(np.max(self._warmup))
-                self.state.noise_level = float(np.mean(self._warmup))
-                self._warmup = []
+                self.state.signal_level = self._warm_max
+                self.state.noise_level = self._warm_sum / self.warmup_samples
                 self._prev = y
                 self._prev_index = n
                 self._rising = False

@@ -2,7 +2,9 @@
 
 One global scale/zero-point pair covers all 664 parameters. Symmetric
 mode clips to [-max|p|, +max|p|] so real zero lands exactly on integer
-code 0; asymmetric mode uses the raw [min, max] range.
+code 0; asymmetric mode uses the raw [min, max] range. `QuantizedModel`
+holds the int8 codes in the float model's two-layer record
+(`nn.TwoLayerModel`), so both share its shape checks and parameter views.
 
 Every int8 inference runs through `nn.forward`, the walker float models
 use too; only the layer kernel differs, and the model's variant names
@@ -25,10 +27,11 @@ accurate) deployment mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .nn import _ACT_FN, VARIANTS, DenseLayer, DenseModel, dense, forward
+from .nn import _ACT_FN, DenseModel, TwoLayerModel, dense, forward
 
 INT8_MIN = -127
 INT8_MAX = 127
@@ -64,41 +67,19 @@ class QuantParams:
 
 
 @dataclass
-class QuantizedModel:
+class QuantizedModel(TwoLayerModel):
     """Int8 mirror of a DenseModel plus the shared quantization parameters."""
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
     qparams: QuantParams
     variant: str
 
+    dtype: ClassVar[type] = np.int8
+
     def __post_init__(self):
-        for name in ("w1", "b1", "w2", "b2"):
-            arr = np.asarray(getattr(self, name), dtype=np.int8)
+        super().__post_init__()
+        for name, arr in zip(("w1", "b1", "w2", "b2"), self.parameters):
             if arr.size and arr.min() < INT8_MIN:
                 raise ValueError(f"{name} holds a code below {INT8_MIN}")
-            setattr(self, name, arr)
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-
-    @property
-    def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Live (codes, bias codes) per layer: [(w1, b1), (w2, b2)]."""
-        return [(self.w1, self.b1), (self.w2, self.b2)]
-
-    @property
-    def parameters(self) -> list[np.ndarray]:
-        return [p for pair in self.pairs for p in pair]
-
-    @property
-    def shapes(self) -> list[tuple[int, int]]:
-        return [w.shape for w, _ in self.pairs]
-
-    @property
-    def param_count(self) -> int:
-        return sum(p.size for p in self.parameters)
 
 
 def compute_qparams(model: DenseModel, mode: str = "symmetric") -> QuantParams:
@@ -148,8 +129,7 @@ def quantize_model(model: DenseModel, mode: str = "symmetric") -> QuantizedModel
 def dequantize_model(qmodel: QuantizedModel) -> DenseModel:
     """Materialize the whole model back to reals (the non-temporary route)."""
     q = qmodel.qparams
-    layers = (DenseLayer(dequantize(w, q), dequantize(b, q)) for w, b in qmodel.pairs)
-    return DenseModel(*layers, qmodel.variant)
+    return DenseModel(*(dequantize(p, q) for p in qmodel.parameters), qmodel.variant)
 
 
 def _temporary_layer(x, w_q, b_q, activation, q: QuantParams) -> np.ndarray:

@@ -21,39 +21,6 @@ def qrs_pulse(width: int = 11, amplitude: float = 1.0) -> np.ndarray:
     return amplitude * 0.5 * (1.0 - np.cos(2.0 * np.pi * (n + 1) / (width + 1)))
 
 
-def pulse_train(
-    n_beats: int,
-    bpm: float = 75.0,
-    fs: float = 360.0,
-    width: int = 11,
-    amplitude: float = 1.0,
-    snr_db: float | None = None,
-    seed: int = 0,
-    start_s: float = 0.5,
-    tail_s: float = 1.0,
-) -> tuple[np.ndarray, list[int]]:
-    """Evenly spaced pulses; returns (signal, true R indices).
-
-    Beats start inside the detector's two-second warmup window so its
-    level initialization sees real beats, as on a continuous recording.
-    """
-    period = int(round(60.0 / bpm * fs))
-    total = int(start_s * fs) + n_beats * period + int(tail_s * fs)
-    sig = np.zeros(total)
-    truth = []
-    p = qrs_pulse(width, amplitude)
-    for k in range(n_beats):
-        center = int(start_s * fs) + k * period
-        sig[center - width // 2 : center - width // 2 + width] += p
-        truth.append(center)
-    if snr_db is not None:
-        rng = np.random.default_rng(seed)
-        signal_power = float(np.mean(sig**2))
-        noise_std = np.sqrt(signal_power / 10.0 ** (snr_db / 10.0))
-        sig = sig + rng.normal(0.0, noise_std, total)
-    return sig, truth
-
-
 # Distinct morphology per class: (width, amplitude). V beats are wide and
 # tall, S narrow and small, F in between; energies separate cleanly after
 # squaring and integration.
@@ -89,6 +56,23 @@ def labeled_recording(
         signal_power = float(np.mean(sig**2))
         sig = sig + rng.normal(0.0, np.sqrt(signal_power / 10.0 ** (snr_db / 10.0)), total)
     return sig, truth
+
+
+def pulse_train(
+    n_beats: int,
+    bpm: float = 75.0,
+    fs: float = 360.0,
+    snr_db: float | None = None,
+    seed: int = 0,
+    start_s: float = 0.5,
+) -> tuple[np.ndarray, list[int]]:
+    """Evenly spaced normal (N) beats; returns (signal, true R indices).
+
+    Beats start inside the detector's two-second warmup window so its
+    level initialization sees real beats, as on a continuous recording.
+    """
+    sig, truth = labeled_recording(["N"] * n_beats, bpm, fs, snr_db, seed, start_s)
+    return sig, [index for index, _ in truth]
 
 
 def separable_beatset(per_class: int = 500, seed: int = 0, noise: float = 0.05) -> BeatSet:

@@ -98,9 +98,9 @@ def mse_loss(predicted, target) -> float:
 def forward_batch(model: DenseModel, x: np.ndarray):
     """Batched forward returning the pre-activations backprop needs: (z1, a1, z2, out)."""
     act1, act2 = VARIANTS[model.variant]
-    z1 = x @ model.layer1.weights + model.layer1.bias
+    z1 = x @ model.w1 + model.b1
     a1 = _ACT_FN[act1](z1)
-    z2 = a1 @ model.layer2.weights + model.layer2.bias
+    z2 = a1 @ model.w2 + model.b2
     out = _ACT_FN[act2](z2)
     return z1, a1, z2, out
 
@@ -120,7 +120,7 @@ def _grads_from_dz2(model, x, a1, z1, dz2) -> list[np.ndarray]:
     act1, _ = VARIANTS[model.variant]
     g_w2 = a1.T @ dz2
     g_b2 = dz2.sum(axis=0)
-    da1 = dz2 @ model.layer2.weights.T
+    da1 = dz2 @ model.w2.T
     dz1 = _activation_backward(act1, da1, z1, a1)
     g_w1 = x.T @ dz1
     g_b1 = dz1.sum(axis=0)
@@ -173,7 +173,8 @@ def _epochs(n: int, config: TrainConfig, rng: np.random.Generator):
             yield [order[:batch]]
 
 
-def _evaluate(model: DenseModel, beats: BeatSet) -> tuple[float, float]:
+def evaluate(model: DenseModel, beats: BeatSet) -> tuple[float, float]:
+    """Accuracy and macro-F1 of `model` on `beats`, from one batched forward."""
     _, _, _, out = forward_batch(model, beats.windows)
     report = scores(confusion(beats.labels, np.argmax(out, axis=1)))
     return report.accuracy, report.macro_f1
@@ -225,9 +226,9 @@ def fit(
         )
 
     trace = TrainTrace(losses)
-    trace.train_accuracy, trace.train_macro_f1 = _evaluate(model, train)
+    trace.train_accuracy, trace.train_macro_f1 = evaluate(model, train)
     if test is not None and len(test) > 0:
-        trace.test_accuracy, trace.test_macro_f1 = _evaluate(model, test)
+        trace.test_accuracy, trace.test_macro_f1 = evaluate(model, test)
     return model, trace
 
 

@@ -246,7 +246,7 @@ def test_criterion_9_compression_ablations_structure():
         student_ok = student.param_count == 268
 
         wo_model, _ = fit_weights_only(beats, None, TrainConfig(epochs=50, seed=3))
-        biases_ok = (wo_model.layer1.bias == 0).all() and (wo_model.layer2.bias == 0).all()
+        biases_ok = (wo_model.b1 == 0).all() and (wo_model.b2 == 0).all()
 
         ok = halves_ok and student_ok and biases_ok
     verdict(9, "compression ablations (structural)", ok,

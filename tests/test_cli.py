@@ -5,7 +5,7 @@ import pytest
 
 from tinyecg.cli import EXIT_BUDGET, EXIT_CHECKSUM, EXIT_INPUT, EXIT_OK, main
 from tinyecg.modelio import save_model
-from tinyecg.nn import DenseLayer, DenseModel
+from tinyecg.nn import DenseModel
 from tinyecg.synthetic import (
     labeled_recording,
     write_annotation_csv,
@@ -209,8 +209,8 @@ class TestQuantize:
         # an oversized topology cannot fit the 2 KB SRAM budget
         rng = np.random.default_rng(0)
         big = DenseModel(
-            DenseLayer(rng.normal(size=(61, 300)), np.zeros(300)),
-            DenseLayer(rng.normal(size=(300, 4)), np.zeros(4)),
+            rng.normal(size=(61, 300)), np.zeros(300),
+            rng.normal(size=(300, 4)), np.zeros(4),
             "sigmoid-sigmoid",
         )
         save_model(big, tmp_path / "big.tnn")
@@ -343,6 +343,19 @@ class TestStream:
         alerts = [l for l in lines if l.startswith("ALERT")]
         assert len(alerts) == 2
         assert all(l.endswith(",V") for l in alerts)
+
+
+    def test_mismatched_layer_widths_checksum_exit(
+        self, workspace, tmp_path, write_mismatched_model
+    ):
+        # a CRC-valid .tnq whose layer headers say 61x10 then 9x4 is
+        # rejected at load, before the stream reads any sample
+        bad = tmp_path / "mismatched.tnq"
+        write_mismatched_model(bad, quantized=True)
+        code = main([
+            "stream", "--signal", str(workspace / "stream_n.csv"), "--qmodel", str(bad),
+        ])
+        assert code == EXIT_CHECKSUM
 
 
 def test_console_entry_point():

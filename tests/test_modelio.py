@@ -13,7 +13,7 @@ from tinyecg.modelio import (
     save_model,
     save_qmodel,
 )
-from tinyecg.nn import ACTIVATIONS, standard_model
+from tinyecg.nn import ACTIVATIONS, glorot_init, standard_model
 from tinyecg.quant import quantize_model
 
 # bytes before the variant tag: magic, format version, tag length
@@ -29,6 +29,15 @@ def first_activation_byte(path, qparam_bytes: int = 0) -> int:
     return TAG_START + taglen + qparam_bytes + 1 + 8
 
 
+# the deployed 61-10-4 classifier and the distilled 61-4-4 student
+SHAPES = {"61-10-4": [(61, 10), (10, 4)], "61-4-4": [(61, 4), (4, 4)]}
+each_shape = pytest.mark.parametrize("shapes", SHAPES.values(), ids=SHAPES.keys())
+
+
+def model_of(shapes):
+    return glorot_init(shapes, "relu-softmax", np.random.default_rng(4))
+
+
 @pytest.fixture
 def model():
     return standard_model("relu-softmax", seed=4)
@@ -40,7 +49,9 @@ def qmodel(model):
 
 
 class TestFloatFormat:
-    def test_bit_exact_round_trip(self, model, tmp_path):
+    @each_shape
+    def test_bit_exact_round_trip(self, shapes, tmp_path):
+        model = model_of(shapes)
         path = tmp_path / "m.tnn"
         save_model(model, path)
         loaded = load_model(path)
@@ -125,8 +136,22 @@ class TestLayerHeaderCheck:
             load_qmodel(path)
 
 
+class TestLayerWidthCheck:
+    """A CRC-valid file whose layer 1 width is not layer 2's input width
+    is rejected before any parameter is read, in both formats."""
+
+    @pytest.mark.parametrize("quantized", [False, True], ids=["tnn", "tnq"])
+    def test_disagreeing_widths_rejected(self, tmp_path, write_mismatched_model, quantized):
+        path = tmp_path / "m.bin"
+        write_mismatched_model(path, quantized)
+        with pytest.raises(ChecksumError, match="layer widths disagree: 10 vs 9"):
+            (load_qmodel if quantized else load_model)(path)
+
+
 class TestQuantFormat:
-    def test_bit_exact_round_trip(self, qmodel, tmp_path):
+    @each_shape
+    def test_bit_exact_round_trip(self, shapes, tmp_path):
+        qmodel = quantize_model(model_of(shapes))
         path = tmp_path / "q.tnq"
         save_qmodel(qmodel, path)
         loaded = load_qmodel(path)
@@ -168,7 +193,7 @@ class TestJsonMirror:
         doc = model_to_json(model)
         assert doc["variant"] == "relu-softmax"
         assert [layer["activation"] for layer in doc["layers"]] == ["relu", "softmax"]
-        np.testing.assert_allclose(doc["layers"][0]["weights"], model.layer1.weights)
+        np.testing.assert_allclose(doc["layers"][0]["weights"], model.w1)
 
         save_json_mirror(model, tmp_path / "m.json")
         parsed = json.loads((tmp_path / "m.json").read_text())

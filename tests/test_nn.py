@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tinyecg.labels import CLASSES
 from tinyecg.nn import (
     VARIANTS,
-    DenseLayer,
     DenseModel,
     dense,
     forward,
@@ -41,13 +40,14 @@ def reference_forward(model, beat):
         return [e / total for e in exps]
 
     x = [float(v) for v in beat]
-    for layer, activation in zip((model.layer1, model.layer2), VARIANTS[model.variant]):
-        fan_in, fan_out = layer.weights.shape
+    for (w, b), activation in zip(((model.w1, model.b1), (model.w2, model.b2)),
+                                  VARIANTS[model.variant]):
+        fan_in, fan_out = w.shape
         z = []
         for j in range(fan_out):
-            acc = float(layer.bias[j])
+            acc = float(b[j])
             for k in range(fan_in):
-                acc += x[k] * float(layer.weights[k, j])
+                acc += x[k] * float(w[k, j])
             z.append(acc)
         x = act(activation, z)
     return np.array(x)
@@ -134,8 +134,8 @@ class TestLayerForward:
 
     def test_shape_mismatch_rejected(self):
         model = DenseModel(
-            DenseLayer(np.zeros((3, 2)), np.zeros(2)),
-            DenseLayer(np.zeros((2, 2)), np.zeros(2)),
+            np.zeros((3, 2)), np.zeros(2),
+            np.zeros((2, 2)), np.zeros(2),
             "relu-sigmoid",
         )
         with pytest.raises(ValueError, match="shape"):
@@ -148,7 +148,7 @@ class TestLayerForward:
         seen = []
 
         def kernel(x, w, b, activation, tag):
-            seen.append((w is model.layer1.weights or w is model.layer2.weights,
+            seen.append((w is model.w1 or w is model.w2,
                          activation, tag))
             return dense(x, w, b, activation)
 
@@ -166,16 +166,16 @@ class TestDenseModel:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
             DenseModel(
-                DenseLayer(np.zeros((2, 2)), np.zeros(2)),
-                DenseLayer(np.zeros((2, 2)), np.zeros(2)),
+                np.zeros((2, 2)), np.zeros(2),
+                np.zeros((2, 2)), np.zeros(2),
                 "relu-relu",
             )
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="widths"):
             DenseModel(
-                DenseLayer(np.zeros((4, 3)), np.zeros(3)),
-                DenseLayer(np.zeros((2, 2)), np.zeros(2)),
+                np.zeros((4, 3)), np.zeros(3),
+                np.zeros((2, 2)), np.zeros(2),
                 "relu-sigmoid",
             )
 
@@ -186,7 +186,7 @@ class TestModelForward:
         for p in model.parameters:
             p[...] = 0.0
         out = model_forward(model, np.zeros(61))
-        # layer1 emits all 0.5; with zero weights layer2 sees z=0 -> 0.5
+        # layer 1 emits all 0.5; with zero weights layer 2 sees z=0 -> 0.5
         assert out == pytest.approx([0.5] * 4)
 
     def test_softmax_variant_sums_to_one(self, rng):
@@ -213,8 +213,8 @@ class TestPredict:
     def _fixed_output_model(self, out):
         # softmax-free: bias alone fixes layer-2 preactivation, weights zero
         return DenseModel(
-            DenseLayer(np.zeros((61, 10)), np.zeros(10)),
-            DenseLayer(np.zeros((10, 4)), np.array(out, dtype=float)),
+            np.zeros((61, 10)), np.zeros(10),
+            np.zeros((10, 4)), np.array(out, dtype=float),
             "relu-sigmoid",
         )
 

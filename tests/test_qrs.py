@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tinyecg.dsp import FilterSpec
+from tinyecg.dsp import FilterSpec, preprocess
 from tinyecg.qrs import (
     BUFFER_CAPACITY,
     DetectorState,
@@ -163,6 +163,19 @@ class TestRPeakDetector:
         signal, _ = pulse_train(20, fs=FS, snr_db=20.0, seed=4)
         det, _ = run_detector(signal)
         assert det.state.signal_level >= det.state.noise_level >= 0.0
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_warmup_levels_are_max_and_mean(self, seed):
+        # the first two seconds of preprocessed samples set the levels: the
+        # signal level to their max, the noise level to their mean
+        signal, _ = pulse_train(20, fs=FS, snr_db=20.0, seed=seed)
+        det = RPeakDetector(FilterSpec(FS))
+        for v in signal[: det.warmup_samples]:
+            det.push_sample(v)
+        warmup = preprocess(signal, FilterSpec(FS))[: det.warmup_samples]
+        assert det.warmup_samples == 720
+        assert det.state.signal_level == warmup.max()
+        assert det.state.noise_level == pytest.approx(warmup.mean(), rel=1e-12)
 
     def test_noisy_train_f1(self):
         signal, truth = pulse_train(100, bpm=75, fs=FS, snr_db=20.0, seed=1)

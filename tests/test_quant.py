@@ -52,7 +52,7 @@ def model_with_params(values, variant="sigmoid-sigmoid"):
     model = standard_model(variant, seed=0)
     for p in model.parameters:
         p *= 1e-3
-    flat = model.layer1.weights.ravel()
+    flat = model.w1.ravel()
     flat[: len(values)] = values
     return model
 
@@ -73,7 +73,7 @@ class TestComputeQparams:
     def test_asymmetric_zero_point(self):
         # params in [0, 10]: code -127 must dequantize back to 0.0
         model = model_with_params([10.0, 5.0])
-        model.layer1.weights[:] = np.abs(model.layer1.weights)
+        model.w1[:] = np.abs(model.w1)
         for p in model.parameters:
             p[...] = np.abs(p)
         q = compute_qparams(model, "asymmetric")
@@ -157,7 +157,7 @@ class TestQuantizeModel:
 
     def test_roundtrip_bound_every_parameter(self):
         model = standard_model("sigmoid-softmax", seed=2)
-        model.layer1.weights *= 30  # widen the range
+        model.w1 *= 30  # widen the range
         qm = quantize_model(model)
         s = qm.qparams.scale
         back = dequantize_model(qm)
@@ -173,9 +173,23 @@ class TestQuantizeModel:
                 reference_qparams(), "sigmoid-sigmoid",
             )
 
+    @pytest.mark.parametrize(
+        "w2,b2,message",
+        [(np.zeros((9, 4)), np.zeros(4), "widths disagree: 10 vs 9"),
+         (np.zeros((10, 4)), np.zeros(3), "inconsistent layer shapes")],
+        ids=["hidden-width", "bias-length"],
+    )
+    def test_inconsistent_shapes_rejected(self, w2, b2, message):
+        # the int8 model runs the float model's shape checks
+        with pytest.raises(ValueError, match=message):
+            QuantizedModel(
+                np.zeros((61, 10)), np.zeros(10), w2, b2,
+                reference_qparams(), "sigmoid-sigmoid",
+            )
+
     def test_exact_zeros_stored_as_zero(self):
         model = standard_model("sigmoid-sigmoid", seed=3)
-        model.layer1.weights[0, :] = 0.0
+        model.w1[0, :] = 0.0
         qm = quantize_model(model, "symmetric")
         assert (qm.w1[0, :] == 0).all()
 
@@ -225,7 +239,7 @@ class TestForwardTemporaryDequantized:
 
     def test_asymmetric_also_matches(self, rng):
         model = standard_model("relu-sigmoid", seed=9)
-        model.layer2.bias += 1.5
+        model.b2 += 1.5
         qm = quantize_model(model, "asymmetric")
         beat = rng.uniform(0, 1, 61)
         np.testing.assert_allclose(

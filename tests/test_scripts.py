@@ -1,7 +1,9 @@
-"""Smoke runs of the experiment scripts on a small synthetic beats file.
+"""Smoke runs of the scripts, as a user runs them.
 
-They exercise `fit`, `distill`, `prune_and_retrain`, `fit_weights_only`,
-quantization and all three eval modes end to end, as a user runs them.
+The experiment scripts run on a small synthetic beats file and exercise
+`fit`, `distill`, `prune_and_retrain`, `fit_weights_only`, quantization
+and all three eval modes end to end; the demo runs every CLI step,
+`stream` included, on recordings it synthesizes.
 """
 
 import os
@@ -23,19 +25,18 @@ def beats_path(tmp_path_factory):
     return path
 
 
-def run_script(name, beats_path) -> str:
+def run_script(name, *args) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), "--beats", str(beats_path),
-         "--epochs", "20"],
+        [sys.executable, str(ROOT / "scripts" / name), *map(str, args), "--epochs", "20"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    return result.stdout
+    return result
 
 
 def test_run_ablations(beats_path):
-    out = run_script("run_ablations.py", beats_path)
+    out = run_script("run_ablations.py", "--beats", beats_path).stdout
     for line in ("base trained", "pruned + retrained", "distilled (61-4-4 student)",
                  "weights-only trained", "ablations below base accuracy:"):
         assert line in out
@@ -45,9 +46,17 @@ def test_run_ablations(beats_path):
 
 
 def test_reproduce_full_scale(beats_path):
-    out = run_script("reproduce_full_scale.py", beats_path)
+    out = run_script("reproduce_full_scale.py", "--beats", beats_path).stdout
     assert "split: " in out and "cost report:" in out
     for mode in ("default", "temporary-dequantized", "quantized-only"):
         assert f"=== {mode} ===" in out
     assert "mode ordering: default=" in out
     assert "quantized-only drop:" in out
+
+
+def test_demo_synthetic(tmp_path):
+    result = run_script("demo_synthetic.py", "--workdir", tmp_path)
+    steps = [line for line in result.stdout.splitlines() if line.startswith("$ tinyecg ")]
+    assert [step.split()[2] for step in steps] == [
+        "ingest", "train", "quantize", "eval", "eval", "stream"]
+    assert "# 10 beat(s) classified" in result.stderr

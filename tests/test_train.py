@@ -226,9 +226,9 @@ class TestPruning:
         # groups are per layer and per parameter type: the 4-wide output
         # bias is its own group, so [1,-2,3,-4] loses its two smallest
         model = standard_model("sigmoid-sigmoid")
-        model.layer2.bias[:] = [1.0, -2.0, 3.0, -4.0]
+        model.b2[:] = [1.0, -2.0, 3.0, -4.0]
         mask = prune_mask(model)
-        pruned = model.layer2.bias.copy()
+        pruned = model.b2.copy()
         pruned[mask[3]] = 0.0
         assert pruned == pytest.approx([0.0, 0.0, 3.0, -4.0])
 
@@ -252,14 +252,14 @@ class TestPruning:
 class TestWeightsOnly:
     def test_biases_exactly_zero(self, toy_beats):
         model, _ = fit_weights_only(toy_beats, None, TrainConfig(epochs=30, seed=4))
-        assert (model.layer1.bias == 0.0).all()
-        assert (model.layer2.bias == 0.0).all()
+        assert (model.b1 == 0.0).all()
+        assert (model.b2 == 0.0).all()
         # weights did train
-        assert (model.layer1.weights != 0.0).any()
+        assert (model.w1 != 0.0).any()
 
     def test_trainable_parameter_count(self):
         model = standard_model("sigmoid-sigmoid")
-        weights = model.layer1.weights.size + model.layer2.weights.size
+        weights = model.w1.size + model.w2.size
         assert weights == 650  # 610 + 40
 
 
