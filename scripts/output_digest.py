@@ -1,0 +1,182 @@
+#!/usr/bin/env python3
+"""Print one `<name> <sha256>` line per output family of the pipeline.
+
+Two checkouts that print the same lines compute the same bits: trained
+parameters and loss curves (`fit` in both batch schedules, `distill`,
+`prune_and_retrain`, `fit_weights_only`) for all four variants, both
+quantization modes, every forward and `predict_labels*`, saved
+`.tnm`/`.tnq` bytes with their JSON mirrors, and the streaming
+detector's indices and labels over synthetic recordings with S, V and F
+beats. Inputs come from `tinyecg.synthetic` and fixed seeds. Compare an
+optimization against its parent commit with
+
+    PYTHONPATH=<parent>/src python scripts/output_digest.py > parent.txt
+    PYTHONPATH=src python scripts/output_digest.py > change.txt
+    diff parent.txt change.txt
+"""
+
+import argparse
+import hashlib
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from tinyecg import modelio, quant
+from tinyecg.dsp import FilterSpec
+from tinyecg.ingest import extract_beats, load_annotations, load_signal, split
+from tinyecg.nn import VARIANTS, model_forward, predict_labels, sigmoid, softmax
+from tinyecg.qrs import RPeakDetector, WindowLostError, emit_window
+from tinyecg.synthetic import labeled_recording, write_annotation_csv, write_signal_csv
+from tinyecg.train import (
+    TrainConfig,
+    distill,
+    fit,
+    fit_weights_only,
+    forward_batch,
+    prune_and_retrain,
+)
+
+FS = 360.0
+SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-320, -1e-320, 710.0, -710.0]
+
+
+def digest(*items) -> str:
+    """sha256 over each item's dtype, shape and bytes."""
+    h = hashlib.sha256()
+    for item in items:
+        if isinstance(item, bytes):
+            h.update(item)
+            continue
+        a = np.ascontiguousarray(item)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def model_digest(model, trace=None) -> str:
+    items = list(model.parameters)
+    if trace is not None:
+        items += [trace.losses, [trace.train_accuracy, trace.test_accuracy,
+                                 trace.train_macro_f1, trace.test_macro_f1]]
+    return digest(*items)
+
+
+def beat_labels(seed: int, n: int) -> list[str]:
+    rng = np.random.default_rng(seed)
+    return list(rng.choice(["N", "N", "N", "S", "V", "F"], size=n))
+
+
+def training_beats(work: Path):
+    """Labeled beats through the CSV ingest path, split 2:1."""
+    signal, truth = labeled_recording(beat_labels(0, 300), bpm=90.0, snr_db=25.0)
+    write_signal_csv(work / "train.csv", signal)
+    write_annotation_csv(work / "train.ann.csv", truth)
+    beats = extract_beats(load_signal(work / "train.csv", FS),
+                          load_annotations(work / "train.ann.csv"))
+    return split(beats, 0.67, seed=0)
+
+
+def detect(seed: int):
+    """`tinyecg stream`'s detection: indices, lost beats, final levels, windows."""
+    samples, _ = labeled_recording(beat_labels(seed, 60), bpm=110.0, snr_db=25.0, seed=seed)
+    detector = RPeakDetector(FilterSpec(FS))
+    detected, lost, windows, pending = [], [], [], []
+    for raw in samples:
+        r = detector.push_sample(raw)
+        if r is not None:
+            detected.append(r)
+            pending.append(r)
+        waiting = []
+        for r_index in pending:
+            try:
+                window = emit_window(detector.buffer, r_index)
+            except WindowLostError:
+                lost.append(r_index)
+                continue
+            if window is None:
+                waiting.append(r_index)
+            else:
+                windows.append(window)
+        pending = waiting
+    state = detector.state
+    return detected, lost, [state.signal_level, state.noise_level], windows
+
+
+def lines(epochs: int, work: Path):
+    rng = np.random.default_rng(1)
+    z = np.concatenate([rng.normal(0, 30, 2000), SPECIAL])
+    yield "nn.sigmoid", digest(sigmoid(z), sigmoid(z.reshape(-1, 1)))
+    yield "nn.softmax", digest(*(softmax(rng.normal(0, 5, shape)) for shape in
+                                 [(4,), (1, 4), (300, 4), (3, 5, 4), (50, 7), (20, 1)]))
+
+    streams = [detect(seed) for seed in (5, 6, 7)]
+    for seed, (detected, lost, levels, _) in zip((5, 6, 7), streams):
+        yield f"qrs.RPeakDetector.seed{seed}", digest(detected, lost, levels)
+
+    train_set, test_set = training_beats(work)
+    windows = test_set.windows
+    yield "ingest.extract_beats", digest(train_set.windows, train_set.labels,
+                                         windows, test_set.labels)
+    for variant in sorted(VARIANTS):
+        config = TrainConfig(epochs=epochs, learning_rate=0.01, batch_size=64,
+                             seed=3, variant=variant)
+        model, trace = fit(train_set, test_set, config)
+        yield f"fit.{variant}", model_digest(model, trace)
+        full, full_trace = fit(train_set, test_set, TrainConfig(
+            epochs=max(1, epochs // 4), learning_rate=0.01, batch_size=64, seed=4,
+            variant=variant, full_pass=True))
+        yield f"fit.full_pass.{variant}", model_digest(full, full_trace)
+        yield f"distill.{variant}", model_digest(distill(model, train_set, config))
+        yield f"prune_and_retrain.{variant}", model_digest(
+            prune_and_retrain(model, train_set, config))
+        yield f"fit_weights_only.{variant}", model_digest(
+            *fit_weights_only(train_set, test_set, config))
+
+        yield f"forward_batch.{variant}", digest(*forward_batch(model, windows))
+        yield f"model_forward.{variant}", digest(*(model_forward(model, w) for w in windows))
+        yield f"predict_labels.{variant}", digest(predict_labels(model, windows))
+        path = work / f"{variant}.tnm"
+        modelio.save_model(model, path)
+        modelio.save_json_mirror(model, work / f"{variant}.tnm.json")
+        yield f"modelio.tnm.{variant}", digest(
+            path.read_bytes(), (work / f"{variant}.tnm.json").read_bytes(),
+            *modelio.load_model(path).parameters)
+
+        for mode in ("symmetric", "asymmetric"):
+            qmodel = quant.quantize_model(model, mode)
+            qp = qmodel.qparams
+            yield f"quantize.{mode}.{variant}", digest(
+                *qmodel.parameters, [qp.scale, qp.alpha, qp.beta], [qp.zero_point],
+                *quant.dequantize_model(qmodel).parameters)
+            yield f"forward_temporary_dequantized.{mode}.{variant}", digest(
+                *(quant.forward_temporary_dequantized(qmodel, w) for w in windows))
+            yield f"forward_quantized_only.{mode}.{variant}", digest(
+                *(quant.forward_quantized_only(qmodel, w) for w in windows))
+            yield f"predict_labels_quantized.{mode}.{variant}", digest(
+                quant.predict_labels_quantized(qmodel, windows[:40], temporary=True),
+                quant.predict_labels_quantized(qmodel, windows, temporary=False))
+            path = work / f"{variant}.{mode}.tnq"
+            modelio.save_qmodel(qmodel, path)
+            modelio.save_json_mirror(qmodel, work / f"{variant}.{mode}.tnq.json")
+            yield f"modelio.tnq.{mode}.{variant}", digest(
+                path.read_bytes(), (work / f"{variant}.{mode}.tnq.json").read_bytes(),
+                *modelio.load_qmodel(path).parameters)
+            yield f"stream.labels.{mode}.{variant}", digest(*(
+                [np.argmax(quant.forward_temporary_dequantized(qmodel, w)) for w in beats]
+                for *_, beats in streams))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--epochs", type=int, default=40)
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, value in lines(args.epochs, Path(tmp)):
+            print(name, value)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

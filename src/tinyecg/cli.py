@@ -17,6 +17,7 @@ import numpy as np
 from . import metrics, modelio, quant
 from .dsp import FilterSpec
 from .ingest import (
+    WINDOW_LEN,
     BeatSet,
     ParseError,
     annotation_summary,
@@ -174,8 +175,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    signal = load_signal(args.signal, args.sampling_rate)
     qmodel = modelio.load_qmodel(args.qmodel)
+    if qmodel.shapes[0][0] != WINDOW_LEN:
+        raise ValueError(f"{args.qmodel}: model takes {qmodel.shapes[0][0]}-sample beats, "
+                         f"the stream emits {WINDOW_LEN}-sample windows")
+    signal = load_signal(args.signal, args.sampling_rate)
     detector = RPeakDetector(FilterSpec(args.sampling_rate))
     pending: list[int] = []
     events = 0

@@ -43,14 +43,11 @@ OUTPUT_LEN = 4
 
 
 def sigmoid(z) -> np.ndarray:
-    """Logistic function, evaluated branch-wise so large |z| cannot overflow."""
+    """Logistic, branch-wise so large |z| cannot overflow; min(z, -z) keeps a NaN's sign."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def relu(z) -> np.ndarray:
@@ -60,14 +57,17 @@ def relu(z) -> np.ndarray:
 def softmax(z) -> np.ndarray:
     """Exponential sum then normalize, with max subtraction for stability.
 
-    The subtraction cancels in exact arithmetic, so outputs match the
-    plain two-pass form wherever that form does not overflow.
+    It cancels exactly, so outputs match the two-pass form where that does not
+    overflow: bit for bit below 8 classes, as these whole-row ops on a class-first
+    copy add left to right like numpy's sum over a short last axis; ~1e-15 above.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.size == 0:
         raise ValueError("softmax needs a non-empty vector")
-    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+    zt = np.ascontiguousarray(z.T)
+    e = np.exp(zt - zt.max(axis=0))
+    e /= e.sum(axis=0)
+    return np.ascontiguousarray(e.T)
 
 
 _ACT_FN = {SIGMOID: sigmoid, RELU: relu, SOFTMAX: softmax}

@@ -141,10 +141,12 @@ def _temporary_layer(x, w_q, b_q, activation, q: QuantParams) -> np.ndarray:
     floats inside each operation; no float copy of the weights outlives
     the call.
     """
-    acc = x @ w_q + b_q
+    acc = x @ w_q
+    acc += b_q
     if q.zero_point:
         acc += q.zero_point * (x.sum() + 1.0)
-    return _ACT_FN[activation](q.scale * acc)
+    acc *= q.scale
+    return _ACT_FN[activation](acc)
 
 
 def _per_parameter_layer(x, w_q, b_q, activation, q: QuantParams) -> np.ndarray:

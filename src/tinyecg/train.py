@@ -1,9 +1,9 @@
 """Training: MSE loss, analytic backprop, Adam, plus compression ablations.
 
-Gradients are exact for all four activation pairings (the softmax path
-uses the full Jacobian, not the cross-entropy shortcut). One epoch takes
-one optimizer step on a freshly shuffled batch; set `full_pass=True` to
-sweep the whole training set in batch-size chunks per epoch instead.
+Gradients are exact for all four activation pairings (the softmax path uses
+the full Jacobian, not the cross-entropy shortcut). One epoch takes one Adam
+step, from one batched forward in `backward`, on a freshly shuffled batch;
+`full_pass=True` sweeps the whole training set in batch-size chunks instead.
 `fit` and `distill` draw their batches from the same schedule, `_epochs`.
 """
 
@@ -81,9 +81,7 @@ class TrainTrace:
 
 
 def one_hot(labels: np.ndarray, n_classes: int = N_CLASSES) -> np.ndarray:
-    out = np.zeros((len(labels), n_classes))
-    out[np.arange(len(labels)), labels] = 1.0
-    return out
+    return np.eye(n_classes)[labels]
 
 
 def mse_loss(predicted, target) -> float:
@@ -111,9 +109,9 @@ def _activation_backward(activation: str, grad_out, z, out) -> np.ndarray:
         return grad_out * out * (1.0 - out)
     if activation == RELU:
         return grad_out * (z > 0)
-    # softmax Jacobian: dz_i = s_i * (g_i - sum_j g_j s_j)
-    dot = np.sum(grad_out * out, axis=-1, keepdims=True)
-    return out * (grad_out - dot)
+    # softmax Jacobian: dz_i = s_i * (g_i - sum_j g_j s_j), summed as in `softmax`
+    dot = np.ascontiguousarray((grad_out * out).T).sum(axis=0)
+    return out * (grad_out - dot[:, None])
 
 
 def _grads_from_dz2(model, x, a1, z1, dz2) -> list[np.ndarray]:
@@ -127,15 +125,15 @@ def _grads_from_dz2(model, x, a1, z1, dz2) -> list[np.ndarray]:
     return [g_w1, g_b1, g_w2, g_b2]
 
 
-def backward(model: DenseModel, x, target) -> list[np.ndarray]:
-    """Exact gradient of mse_loss w.r.t. [W1, b1, W2, b2]."""
+def backward(model: DenseModel, x, target) -> tuple[float, list[np.ndarray]]:
+    """mse_loss and its exact gradient w.r.t. [W1, b1, W2, b2], from one forward."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
     z1, a1, z2, out = forward_batch(model, x)
     _, act2 = VARIANTS[model.variant]
     grad_out = 2.0 * (out - target) / target.size
     dz2 = _activation_backward(act2, grad_out, z2, out)
-    return _grads_from_dz2(model, x, a1, z1, dz2)
+    return mse_loss(out, target), _grads_from_dz2(model, x, a1, z1, dz2)
 
 
 def adam_step(
@@ -233,12 +231,8 @@ def fit(
 
 
 def _step(model, params, masks, train, targets, idx, state, config) -> float:
-    x, y = train.windows[idx], targets[idx]
-    _, _, _, out = forward_batch(model, x)
-    loss = mse_loss(out, y)
-    grads = backward(model, x, y)
-    for g, m in zip(grads, masks):
-        g[m] = 0.0
+    x, y = train.windows.take(idx, axis=0), targets.take(idx, axis=0)
+    loss, grads = backward(model, x, y)
     adam_step(params, grads, state, config.learning_rate)
     for p, m in zip(params, masks):
         p[m] = 0.0

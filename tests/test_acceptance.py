@@ -138,7 +138,7 @@ def test_criterion_4_gradient_correctness():
             model = glorot_init([(5, 3), (3, 4)], variant, rng)
             x = rng.normal(0, 1, (8, 5))
             y = one_hot(rng.integers(0, 4, 8))
-            analytic = backward(model, x, y)
+            _, analytic = backward(model, x, y)
             for p, g in zip(model.parameters, analytic):
                 it = np.nditer(p, flags=["multi_index"])
                 for _ in it:

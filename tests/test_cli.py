@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from tinyecg.cli import EXIT_BUDGET, EXIT_CHECKSUM, EXIT_INPUT, EXIT_OK, main
-from tinyecg.modelio import save_model
-from tinyecg.nn import DenseModel
+from tinyecg.modelio import save_model, save_qmodel
+from tinyecg.nn import DenseModel, glorot_init
+from tinyecg.quant import quantize_model
 from tinyecg.synthetic import (
     labeled_recording,
     write_annotation_csv,
@@ -356,6 +357,20 @@ class TestStream:
             "stream", "--signal", str(workspace / "stream_n.csv"), "--qmodel", str(bad),
         ])
         assert code == EXIT_CHECKSUM
+
+    def test_other_input_width_rejected_before_the_signal_is_read(self, tmp_path, capsys):
+        # a valid .tnq of a 60-10-4 model: the width check names both widths
+        # before the (here absent) signal file is opened
+        narrow = glorot_init([(60, 10), (10, 4)], "sigmoid-sigmoid", np.random.default_rng(0))
+        path = tmp_path / "narrow.tnq"
+        save_qmodel(quantize_model(narrow), path)
+        code = main([
+            "stream", "--signal", str(tmp_path / "absent.csv"), "--qmodel", str(path),
+        ])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "60-sample beats" in err and "61-sample windows" in err
 
 
 def test_console_entry_point():

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from tinyecg.labels import CLASSES
 from tinyecg.nn import (
@@ -74,6 +75,20 @@ class TestSigmoid:
         out = sigmoid(np.array(z))
         assert ((out > 0) & (out < 1)).all()
 
+    @given(arrays(np.float64, array_shapes(min_dims=0, max_dims=3, max_side=12)))
+    @example(np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0,
+                       1e-320, -1e-320, 710.0, -710.0]))
+    def test_bits_equal_masked_branches(self, z):
+        # the two branches chosen with boolean masks, element by element
+        ref = np.empty_like(z)
+        pos = z >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        ref[~pos] = ez / (1.0 + ez)
+        out = sigmoid(z)
+        assert out.shape == z.shape
+        np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
+
 
 class TestRelu:
     @pytest.mark.parametrize("z,expected", [([-3.0], [0.0]), ([5.0], [5.0]),
@@ -107,6 +122,21 @@ class TestSoftmax:
     @given(finite_vectors)
     def test_sums_to_one(self, z):
         assert float(np.sum(softmax(z))) == pytest.approx(1.0, abs=1e-9)
+
+    @given(st.integers(1, 12), st.sampled_from([(), (1,), (9,), (2, 3)]), st.data())
+    def test_matches_two_pass_form(self, width, lead, data):
+        # exact below 8 classes, where numpy sums the class axis left to
+        # right as the whole-row adds do; pairwise from 8 up
+        z = data.draw(arrays(np.float64, lead + (width,),
+                             elements=st.floats(-700, 700, allow_subnormal=True)))
+        e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+        ref = e / np.sum(e, axis=-1, keepdims=True)
+        out = softmax(z)
+        assert out.shape == z.shape and out.flags.c_contiguous
+        if width < 8:
+            np.testing.assert_array_equal(out, ref)
+        else:
+            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-15)
 
     @given(finite_vectors, st.randoms(use_true_random=False))
     def test_permutation_equivariant(self, z, rnd):

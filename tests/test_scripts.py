@@ -3,10 +3,12 @@
 The experiment scripts run on a small synthetic beats file and exercise
 `fit`, `distill`, `prune_and_retrain`, `fit_weights_only`, quantization
 and all three eval modes end to end; the demo runs every CLI step,
-`stream` included, on recordings it synthesizes.
+`stream` included, on recordings it synthesizes. The output digest is
+deterministic, so two checkouts can be compared line by line.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,3 +62,11 @@ def test_demo_synthetic(tmp_path):
     assert [step.split()[2] for step in steps] == [
         "ingest", "train", "quantize", "eval", "eval", "stream"]
     assert "# 10 beat(s) classified" in result.stderr
+
+
+def test_output_digest():
+    first, second = (run_script("output_digest.py").stdout.splitlines() for _ in range(2))
+    assert first == second
+    names = [line.split()[0] for line in first]
+    assert len(set(names)) == len(names) > 80
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in first)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tinyecg.train as train_module
 from tinyecg.ingest import BeatSet
 from tinyecg.nn import VARIANTS, glorot_init, model_forward, softmax, standard_model
 from tinyecg.synthetic import separable_beatset
@@ -108,7 +109,8 @@ class TestBackward:
         model = glorot_init([(5, 3), (3, 4)], variant, rng)
         x = rng.normal(0, 1, (8, 5))
         y = one_hot(rng.integers(0, 4, 8))
-        analytic = backward(model, x, y)
+        loss, analytic = backward(model, x, y)
+        assert loss == loss_of(model, x, y)
         numeric = finite_difference_grads(lambda: loss_of(model, x, y), model.parameters)
         assert max_relative_error(analytic, numeric) < 1e-4
 
@@ -123,7 +125,7 @@ class TestBackward:
             p[...] = 0.0
         x = np.random.default_rng(0).uniform(0, 1, (4, 61))
         y = one_hot(np.array([0, 1, 2, 3]))
-        g_w1, g_b1, g_w2, g_b2 = backward(model, x, y)
+        _, (g_w1, g_b1, g_w2, g_b2) = backward(model, x, y)
         assert g_b2 == pytest.approx(np.full(4, 1 / 32))
         assert g_w2 == pytest.approx(np.full((10, 4), 1 / 64))
         assert g_w1 == pytest.approx(np.zeros((61, 10)), abs=1e-15)
@@ -133,7 +135,7 @@ class TestBackward:
         model = glorot_init([(3, 2), (2, 4)], "relu-sigmoid", rng)
         x = rng.uniform(0.1, 1, (5, 3))
         y = forward_batch(model, x)[3]  # targets := model outputs
-        grads = backward(model, x, y)
+        _, grads = backward(model, x, y)
         assert max(float(np.max(np.abs(g))) for g in grads) < 1e-8
 
 
@@ -199,6 +201,16 @@ class TestFit:
         trimmed = BeatSet(beats.windows[keep], beats.labels[keep])
         with pytest.warns(UserWarning, match="class"):
             fit(trimmed, None, TrainConfig(epochs=2))
+
+    @pytest.mark.parametrize("epochs", [1, 7])
+    def test_one_forward_per_step(self, toy_beats, monkeypatch, epochs):
+        # one batched forward per Adam step, plus `evaluate` on the train
+        # and on the test set
+        calls = []
+        monkeypatch.setattr(train_module, "forward_batch",
+                            lambda *args: calls.append(args) or forward_batch(*args))
+        fit(toy_beats, toy_beats, TrainConfig(epochs=epochs, seed=0))
+        assert len(calls) == epochs + 2
 
     def test_full_pass_mode(self, toy_beats):
         config = TrainConfig(epochs=5, batch_size=64, full_pass=True, seed=0)
