@@ -5,10 +5,11 @@ Two checkouts that print the same lines compute the same bits: trained
 parameters and loss curves (`fit` in both batch schedules, `distill`,
 `prune_and_retrain`, `fit_weights_only`) for all four variants, both
 quantization modes, every forward and `predict_labels*`, saved
-`.tnm`/`.tnq` bytes with their JSON mirrors, and the streaming
-detector's indices and labels over synthetic recordings with S, V and F
-beats. Inputs come from `tinyecg.synthetic` and fixed seeds. Compare an
-optimization against its parent commit with
+`.tnm`/`.tnq` bytes with their JSON mirrors, `tinyecg quantize`'s
+stdout (text and `--json`), and the streaming detector's indices and
+labels over synthetic recordings with S, V and F beats. Inputs come from
+`tinyecg.synthetic` and fixed seeds. Compare a change against its
+parent commit with
 
     PYTHONPATH=<parent>/src python scripts/output_digest.py > parent.txt
     PYTHONPATH=src python scripts/output_digest.py > change.txt
@@ -16,13 +17,15 @@ optimization against its parent commit with
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from tinyecg import modelio, quant
+from tinyecg import cli, modelio, quant
 from tinyecg.dsp import FilterSpec
 from tinyecg.ingest import extract_beats, load_annotations, load_signal, split
 from tinyecg.nn import VARIANTS, model_forward, predict_labels, sigmoid, softmax
@@ -60,6 +63,16 @@ def model_digest(model, trace=None) -> str:
         items += [trace.losses, [trace.train_accuracy, trace.test_accuracy,
                                  trace.train_macro_f1, trace.test_macro_f1]]
     return digest(*items)
+
+
+def quantize_output(model_path: Path, mode: str, *flags: str) -> bytes:
+    """`tinyecg quantize`'s exit code, stdout and written `.tnq` bytes."""
+    out_path = model_path.with_suffix(f".cli.{mode}.tnq")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["quantize", "--model", str(model_path), "--mode", mode,
+                         "--out", str(out_path), *flags])
+    return f"{code}\n{stdout.getvalue()}".encode() + out_path.read_bytes()
 
 
 def beat_labels(seed: int, n: int) -> list[str]:
@@ -136,12 +149,12 @@ def lines(epochs: int, work: Path):
         yield f"forward_batch.{variant}", digest(*forward_batch(model, windows))
         yield f"model_forward.{variant}", digest(*(model_forward(model, w) for w in windows))
         yield f"predict_labels.{variant}", digest(predict_labels(model, windows))
-        path = work / f"{variant}.tnm"
-        modelio.save_model(model, path)
+        model_path = work / f"{variant}.tnm"
+        modelio.save_model(model, model_path)
         modelio.save_json_mirror(model, work / f"{variant}.tnm.json")
         yield f"modelio.tnm.{variant}", digest(
-            path.read_bytes(), (work / f"{variant}.tnm.json").read_bytes(),
-            *modelio.load_model(path).parameters)
+            model_path.read_bytes(), (work / f"{variant}.tnm.json").read_bytes(),
+            *modelio.load_model(model_path).parameters)
 
         for mode in ("symmetric", "asymmetric"):
             qmodel = quant.quantize_model(model, mode)
@@ -162,6 +175,8 @@ def lines(epochs: int, work: Path):
             yield f"modelio.tnq.{mode}.{variant}", digest(
                 path.read_bytes(), (work / f"{variant}.{mode}.tnq.json").read_bytes(),
                 *modelio.load_qmodel(path).parameters)
+            yield f"cli.quantize.{mode}.{variant}", digest(
+                quantize_output(model_path, mode), quantize_output(model_path, mode, "--json"))
             yield f"stream.labels.{mode}.{variant}", digest(*(
                 [np.argmax(quant.forward_temporary_dequantized(qmodel, w)) for w in beats]
                 for *_, beats in streams))

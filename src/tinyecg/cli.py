@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -40,6 +41,8 @@ EXIT_CHECKSUM = 4
 EXIT_BUDGET = 5
 
 INFERENCE_MODES = ("default", "quantized", "temporary-dequantized")
+SAMPLING_RATE_HZ = 360.0  # MIT-BIH
+TRAIN_FRACTION = 0.67
 
 
 def cmd_ingest(args) -> int:
@@ -96,38 +99,21 @@ def cmd_quantize(args) -> int:
     model = modelio.load_model(args.model)
     qmodel = quant.quantize_model(model, args.mode)
     modelio.save_qmodel(qmodel, args.out)
+    qp = qmodel.qparams
     flops = quant.flops_report(qmodel.shapes)
-    kernel = quant.kernel_flops_report(qmodel.shapes, qmodel.qparams.zero_point)
+    kernel = quant.kernel_flops_report(qmodel.shapes, qp.zero_point)
     memory = quant.memory_report(qmodel)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "flops": {"layers": flops.layers, "total": flops.total},
-                    "kernel_flops": {"layers": kernel.layers, "total": kernel.total},
-                    "memory": {
-                        "model_param_bytes": memory.model_param_bytes,
-                        "temp_dequant_bytes": memory.temp_dequant_bytes,
-                        "temp_dequant_bytes_actual": memory.temp_dequant_bytes_actual,
-                        "model_bytes": memory.model_bytes,
-                        "buffer_bytes": memory.buffer_bytes,
-                        "total_bytes": memory.total_bytes,
-                        "budget_bytes": memory.budget_bytes,
-                        "over_budget": memory.over_budget,
-                    },
-                    "scale": qmodel.qparams.scale,
-                    "zero_point": qmodel.qparams.zero_point,
-                    "mode": qmodel.qparams.mode,
-                }
-            )
-        )
+        memory_fields = asdict(memory)
+        del memory_fields["layer_param_counts"]  # the text table's column only
+        print(json.dumps({
+            "flops": asdict(flops), "kernel_flops": asdict(kernel), "memory": memory_fields,
+            "scale": qp.scale, "zero_point": qp.zero_point, "mode": qp.mode,
+        }))
     else:
         print(quant.format_cost_report(flops, memory, kernel))
-        print(
-            f"scale {qmodel.qparams.scale!r}  zero point {qmodel.qparams.zero_point}"
-            f"  mode {qmodel.qparams.mode}"
-        )
-        if qmodel.qparams.zero_point != 0:
+        print(f"scale {qp.scale!r}  zero point {qp.zero_point}  mode {qp.mode}")
+        if qp.zero_point != 0:
             print("note: nonzero zero point; real 0.0 does not map to code 0")
     print(f"wrote {args.out}", file=sys.stderr)
     return EXIT_BUDGET if memory.over_budget else EXIT_OK
@@ -223,17 +209,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotations", action="append", required=True,
                    help="annotation CSV (`index,symbol`); one per --signal")
     p.add_argument("--out", required=True, help="output beats file (.npz)")
-    p.add_argument("--sampling-rate", type=float, default=360.0)
+    p.add_argument("--sampling-rate", type=float, default=SAMPLING_RATE_HZ)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("train", help="train one model variant on a beats file")
     p.add_argument("--beats", required=True)
-    p.add_argument("--variant", choices=sorted(VARIANTS), default="sigmoid-sigmoid")
-    p.add_argument("--epochs", type=int, default=10_000)
-    p.add_argument("--learning-rate", type=float, default=0.001)
-    p.add_argument("--batch-size", type=int, default=1024)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-fraction", type=float, default=0.67)
+    p.add_argument("--variant", choices=sorted(VARIANTS), default=TrainConfig.variant)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--train-fraction", type=float, default=TRAIN_FRACTION)
     p.add_argument("--full-pass", action="store_true",
                    help="sweep the full training set each epoch instead of one batch")
     p.add_argument("--weights-only", action="store_true",
@@ -244,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantize", help="float model -> int8 model + cost report")
     p.add_argument("--model", required=True)
-    p.add_argument("--mode", choices=("symmetric", "asymmetric"), default="symmetric")
+    p.add_argument("--mode", choices=quant.MODES, default="symmetric")
     p.add_argument("--out", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_quantize)
@@ -254,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beats", required=True)
     p.add_argument("--inference-mode", choices=INFERENCE_MODES, default="default")
     p.add_argument("--split", choices=("all", "train", "test"), default="all")
-    p.add_argument("--train-fraction", type=float, default=0.67)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--train-fraction", type=float, default=TRAIN_FRACTION)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_eval)
@@ -263,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stream", help="replay a recording through detection + classification")
     p.add_argument("--signal", required=True)
     p.add_argument("--qmodel", required=True, help="quantized model file")
-    p.add_argument("--sampling-rate", type=float, default=360.0)
+    p.add_argument("--sampling-rate", type=float, default=SAMPLING_RATE_HZ)
     p.set_defaults(func=cmd_stream)
 
     return parser

@@ -15,22 +15,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as _sps
 
+LOW_CUT_HZ = 5.0
+HIGH_CUT_HZ = 15.0
 MWI_WINDOW = 15
 
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """QRS-band bandpass configuration (5-15 Hz passband by default)."""
+    """Sampling rate of a recording, checked against the 5-15 Hz QRS passband."""
 
     sampling_rate_hz: float
-    low_cut_hz: float = 5.0
-    high_cut_hz: float = 15.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.low_cut_hz < self.high_cut_hz < self.sampling_rate_hz / 2:
+        if not HIGH_CUT_HZ < self.sampling_rate_hz / 2:
             raise ValueError(
-                f"need 0 < low ({self.low_cut_hz}) < high ({self.high_cut_hz}) "
-                f"< Nyquist ({self.sampling_rate_hz / 2})"
+                f"the {LOW_CUT_HZ}-{HIGH_CUT_HZ} Hz passband needs a Nyquist rate"
+                f" above {HIGH_CUT_HZ} Hz, got {self.sampling_rate_hz / 2}"
             )
 
 
@@ -38,7 +38,7 @@ def bandpass_coefficients(spec: FilterSpec) -> tuple[np.ndarray, np.ndarray]:
     """Second-order Butterworth bandpass (biquad) via the bilinear transform."""
     return _sps.butter(
         1,
-        [spec.low_cut_hz, spec.high_cut_hz],
+        [LOW_CUT_HZ, HIGH_CUT_HZ],
         btype="bandpass",
         fs=spec.sampling_rate_hz,
     )
@@ -71,7 +71,7 @@ def square(samples) -> np.ndarray:
     return x * x
 
 
-def moving_window_integration(samples, window: int = MWI_WINDOW) -> np.ndarray:
+def moving_window_integration(samples, window: int) -> np.ndarray:
     """Trailing mean over `window` samples; shorter growing windows at the start."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -85,10 +85,10 @@ def moving_window_integration(samples, window: int = MWI_WINDOW) -> np.ndarray:
     return sums / counts
 
 
-def preprocess(samples, spec: FilterSpec, window: int = MWI_WINDOW) -> np.ndarray:
+def preprocess(samples, spec: FilterSpec) -> np.ndarray:
     """Full chain on a whole recording. Output is non-negative, same length."""
     return moving_window_integration(
-        square(derivative(bandpass(samples, spec))), window
+        square(derivative(bandpass(samples, spec))), MWI_WINDOW
     )
 
 
@@ -102,10 +102,7 @@ class StreamingPreprocessor:
     several times more.
     """
 
-    def __init__(self, spec: FilterSpec, window: int = MWI_WINDOW):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.spec = spec
+    def __init__(self, spec: FilterSpec):
         b, a = bandpass_coefficients(spec)
         self._b: list[float] = [float(v) for v in b]
         self._a: list[float] = [float(v) for v in a]
@@ -113,7 +110,7 @@ class StreamingPreprocessor:
         self._taps: list[float] | None = None  # last 4 bandpassed samples, newest first
         # Summed afresh from the oldest sample on every push: a running
         # add/subtract sum would drift away from the batch chain.
-        self._mwi: deque[float] = deque(maxlen=window)
+        self._mwi: deque[float] = deque(maxlen=MWI_WINDOW)
 
     def push(self, raw: float) -> float:
         """Advance the chain by one raw sample; returns the integrated value.

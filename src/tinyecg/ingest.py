@@ -12,7 +12,10 @@ annotated R-peak index ([index-30, index+30] inclusive).
 
 from __future__ import annotations
 
+import tokenize
 import warnings
+import zipfile
+import zlib
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +27,10 @@ from .labels import CLASSES, LABEL_INDEX, OTHER, aami_class
 
 WINDOW_HALF = 30
 WINDOW_LEN = 2 * WINDOW_HALF + 1
+# What np.load raises on a damaged archive, seen by flipping each byte of
+# a saved beats file in turn.
+_ARCHIVE_ERRORS = (EOFError, NotImplementedError, OSError, ValueError,
+                   tokenize.TokenError, zipfile.BadZipFile, zlib.error)
 
 
 class ParseError(ValueError):
@@ -87,8 +94,22 @@ class BeatSet:
 
     @classmethod
     def load(cls, path) -> "BeatSet":
-        with np.load(path) as data:
-            return cls(data["windows"], data["labels"], int(data["skipped"]))
+        """Read a `save`d file; ParseError names the path of an unreadable
+        archive, a missing array, non-finite windows or unknown label codes."""
+        try:
+            with np.load(path) as data:
+                beats = cls(data["windows"], data["labels"], int(data["skipped"]))
+        except FileNotFoundError:
+            raise
+        except KeyError as exc:
+            raise ParseError(f"{path}: {exc.args[0]}") from None
+        except _ARCHIVE_ERRORS as exc:
+            raise ParseError(f"{path}: unreadable beats file: {exc!r}") from None
+        if not np.isfinite(beats.windows).all():
+            raise ParseError(f"{path}: beat windows hold non-finite values")
+        if ((beats.labels < 0) | (beats.labels >= len(CLASSES))).any():
+            raise ParseError(f"{path}: label codes outside 0-{len(CLASSES) - 1}")
+        return beats
 
 
 def _rows(path) -> list[tuple[int, str, str]]:
@@ -157,20 +178,15 @@ def load_annotations(path) -> list[Annotation]:
     return out
 
 
-def extract_beats(
-    signal: Signal,
-    annotations: list[Annotation],
-    spec: FilterSpec | None = None,
-) -> BeatSet:
-    """Preprocess the whole recording once, then window each labeled beat.
+def extract_beats(signal: Signal, annotations: list[Annotation]) -> BeatSet:
+    """Preprocess the whole recording once, at its own rate, then window
+    each labeled beat.
 
     OTHER annotations are dropped silently; kept annotations whose
     61-sample window is not fully inside the recording are counted in
     `BeatSet.skipped`.
     """
-    if spec is None:
-        spec = FilterSpec(signal.sampling_rate_hz)
-    stream = preprocess(signal.samples, spec)
+    stream = preprocess(signal.samples, FilterSpec(signal.sampling_rate_hz))
     windows, labels = [], []
     skipped = 0
     for ann in annotations:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .nn import ACTIVATIONS, VARIANTS, DenseModel
-from .quant import QuantParams, QuantizedModel
+from .quant import MODES, QuantParams, QuantizedModel
 
 MAGIC_FLOAT = b"TECG"
 MAGIC_QUANT = b"TECQ"
@@ -131,12 +131,7 @@ def load_model(path) -> DenseModel:
 def save_qmodel(qmodel: QuantizedModel, path) -> None:
     qp = qmodel.qparams
     header = _pack_header(MAGIC_QUANT, qmodel.variant) + struct.pack(
-        "<Bdidd",
-        0 if qp.mode == "symmetric" else 1,
-        qp.scale,
-        qp.zero_point,
-        qp.alpha,
-        qp.beta,
+        "<Bdidd", MODES.index(qp.mode), qp.scale, qp.zero_point, qp.alpha, qp.beta
     )
     _save(qmodel, path, header, np.int8)
 
@@ -144,15 +139,9 @@ def save_qmodel(qmodel: QuantizedModel, path) -> None:
 def load_qmodel(path) -> QuantizedModel:
     rd = _open_checked(path, MAGIC_QUANT)
     mode_flag, scale, zero_point, alpha, beta = rd.unpack("<Bdidd")
-    if mode_flag not in (0, 1):
+    if mode_flag >= len(MODES):
         raise ChecksumError(f"{path}: unknown quantization mode byte {mode_flag}")
-    qp = QuantParams(
-        scale=scale,
-        zero_point=zero_point,
-        alpha=alpha,
-        beta=beta,
-        mode=("symmetric", "asymmetric")[mode_flag],
-    )
+    qp = QuantParams(scale, zero_point, alpha, beta, MODES[mode_flag])
     return QuantizedModel(*_read_params(rd, np.int8), qparams=qp, variant=rd.variant)
 
 

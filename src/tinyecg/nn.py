@@ -22,6 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .ingest import WINDOW_LEN
 from .labels import CLASSES
 
 SIGMOID = "sigmoid"
@@ -37,9 +38,10 @@ VARIANTS = {
     "sigmoid-softmax": (SIGMOID, SOFTMAX),
 }
 
-INPUT_LEN = 61
+INPUT_LEN = WINDOW_LEN
 HIDDEN_LEN = 10
-OUTPUT_LEN = 4
+OUTPUT_LEN = len(CLASSES)
+LAYER_SHAPES = ((INPUT_LEN, HIDDEN_LEN), (HIDDEN_LEN, OUTPUT_LEN))
 
 
 def sigmoid(z) -> np.ndarray:
@@ -144,11 +146,7 @@ def glorot_init(
 
 def standard_model(variant: str, seed: int = 0) -> DenseModel:
     """Fresh 61 -> 10 -> 4 model (664 parameters)."""
-    return glorot_init(
-        [(INPUT_LEN, HIDDEN_LEN), (HIDDEN_LEN, OUTPUT_LEN)],
-        variant,
-        np.random.default_rng(seed),
-    )
+    return glorot_init(LAYER_SHAPES, variant, np.random.default_rng(seed))
 
 
 def dense(x, w, b, activation: str) -> np.ndarray:

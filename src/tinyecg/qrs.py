@@ -18,7 +18,7 @@ from itertools import islice
 import numpy as np
 
 from .dsp import FilterSpec, StreamingPreprocessor
-from .ingest import WINDOW_HALF, WINDOW_LEN
+from .ingest import WINDOW_HALF
 
 BUFFER_CAPACITY = 150
 REFRACTORY_S = 0.200
@@ -34,7 +34,7 @@ class WindowLostError(RuntimeError):
 class StreamBuffer:
     """Ring of the newest preprocessed samples, addressed by absolute index."""
 
-    def __init__(self, capacity: int = BUFFER_CAPACITY):
+    def __init__(self, capacity: int):
         self.capacity = capacity
         self._ring: deque[float] = deque(maxlen=capacity)
         self.head = -1  # absolute index of the newest stored sample
@@ -66,18 +66,12 @@ class StreamBuffer:
 def emit_window(buffer: StreamBuffer, r_index: int) -> np.ndarray | None:
     """61-sample window centered on a detected peak, or None if not yet buffered.
 
-    Raises WindowLostError when the peak has already scrolled past the
-    buffer capacity (the beat is lost).
+    `StreamBuffer.window` raises WindowLostError when the peak has already
+    scrolled past the buffer capacity (the beat is lost).
     """
-    if r_index - WINDOW_HALF < buffer.tail:
-        raise WindowLostError(
-            f"beat at {r_index} lost: window starts before buffer tail {buffer.tail}"
-        )
     if r_index + WINDOW_HALF > buffer.head:
         return None
-    out = buffer.window(r_index - WINDOW_HALF, r_index + WINDOW_HALF)
-    assert out.size == WINDOW_LEN
-    return out
+    return buffer.window(r_index - WINDOW_HALF, r_index + WINDOW_HALF)
 
 
 @dataclass
@@ -102,19 +96,12 @@ class RPeakDetector:
     level; anything inside the refractory period is ignored outright.
     """
 
-    def __init__(
-        self,
-        spec: FilterSpec,
-        buffer_capacity: int = BUFFER_CAPACITY,
-        refractory_s: float = REFRACTORY_S,
-        warmup_s: float = WARMUP_S,
-    ):
-        self.spec = spec
+    def __init__(self, spec: FilterSpec):
         self.preprocessor = StreamingPreprocessor(spec)
-        self.buffer = StreamBuffer(buffer_capacity)
+        self.buffer = StreamBuffer(BUFFER_CAPACITY)
         self.state = DetectorState()
-        self.refractory_samples = int(round(refractory_s * spec.sampling_rate_hz))
-        self.warmup_samples = int(round(warmup_s * spec.sampling_rate_hz))
+        self.refractory_samples = int(round(REFRACTORY_S * spec.sampling_rate_hz))
+        self.warmup_samples = int(round(WARMUP_S * spec.sampling_rate_hz))
         # A running max and sum (8 bytes) set the levels; the 2 s of warm-up
         # samples themselves would need 2,880 B, more than the 2 KB SRAM.
         self._warm_max = float("-inf")

@@ -26,18 +26,21 @@ accurate) deployment mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from .nn import _ACT_FN, DenseModel, TwoLayerModel, dense, forward
+from .qrs import BUFFER_CAPACITY
 
 INT8_MIN = -127
 INT8_MAX = 127
+# A .tnq file stores a mode as its index here.
+MODES = ("symmetric", "asymmetric")
 
 SRAM_BUDGET_BYTES = 2048
-BUFFER_SAMPLES = 150
 BYTES_PER_SAMPLE = 4
 # The deployed accounting books 3 extra bytes for the one temporarily
 # dequantized value; a 32-bit real actually occupies 4.
@@ -57,13 +60,13 @@ class QuantParams:
     zero_point: int
     alpha: float
     beta: float
-    mode: str  # "symmetric" | "asymmetric"
+    mode: str  # one of MODES
 
     def __post_init__(self):
-        if self.mode not in ("symmetric", "asymmetric"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not (self.scale > 0 and math.isfinite(self.scale)):
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
 
 
 @dataclass
@@ -232,15 +235,12 @@ class MemoryReport:
     over_budget: bool
 
 
-def memory_report_from_shapes(
-    shapes,
-    buffer_samples: int = BUFFER_SAMPLES,
-    budget_bytes: int = SRAM_BUDGET_BYTES,
-) -> MemoryReport:
+def memory_report_from_shapes(shapes) -> MemoryReport:
+    """Book the int8 parameters, one temp value and the detector's sample buffer."""
     layer_counts = tuple(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
     param_bytes = sum(layer_counts)
     model_bytes = param_bytes + TEMP_DEQUANT_BYTES_REPORTED
-    buffer_bytes = buffer_samples * BYTES_PER_SAMPLE
+    buffer_bytes = BUFFER_CAPACITY * BYTES_PER_SAMPLE
     total = model_bytes + buffer_bytes
     return MemoryReport(
         layer_param_counts=layer_counts,
@@ -250,13 +250,13 @@ def memory_report_from_shapes(
         model_bytes=model_bytes,
         buffer_bytes=buffer_bytes,
         total_bytes=total,
-        budget_bytes=budget_bytes,
-        over_budget=total > budget_bytes,
+        budget_bytes=SRAM_BUDGET_BYTES,
+        over_budget=total > SRAM_BUDGET_BYTES,
     )
 
 
-def memory_report(qmodel: QuantizedModel, **kwargs) -> MemoryReport:
-    return memory_report_from_shapes(qmodel.shapes, **kwargs)
+def memory_report(qmodel: QuantizedModel) -> MemoryReport:
+    return memory_report_from_shapes(qmodel.shapes)
 
 
 def format_cost_report(flops: FlopsReport, memory: MemoryReport, kernel: FlopsReport) -> str:

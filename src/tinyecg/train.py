@@ -17,10 +17,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ingest import BeatSet
+from .labels import CLASSES
 from .metrics import confusion, scores
-from .nn import _ACT_FN, RELU, SIGMOID, VARIANTS, DenseModel, glorot_init, softmax
+from .nn import _ACT_FN, INPUT_LEN, LAYER_SHAPES, OUTPUT_LEN, RELU, SIGMOID, VARIANTS
+from .nn import DenseModel, glorot_init, softmax
 
-N_CLASSES = 4
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+DISTILL_TEMPERATURE = 10.0
+STUDENT_HIDDEN_LEN = 4
 
 
 @dataclass(frozen=True)
@@ -52,9 +58,6 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: list[np.ndarray]) -> "AdamState":
@@ -80,8 +83,8 @@ class TrainTrace:
                 writer.writerow([epoch, repr(float(loss))])
 
 
-def one_hot(labels: np.ndarray, n_classes: int = N_CLASSES) -> np.ndarray:
-    return np.eye(n_classes)[labels]
+def one_hot(labels: np.ndarray) -> np.ndarray:
+    return np.eye(len(CLASSES))[labels]
 
 
 def mse_loss(predicted, target) -> float:
@@ -144,7 +147,7 @@ def adam_step(
 ) -> tuple[list[np.ndarray], AdamState]:
     """In-place Adam update with bias correction; returns params and state."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     correct1 = 1.0 - b1**state.t
     correct2 = 1.0 - b2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -152,7 +155,7 @@ def adam_step(
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p -= lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
+        p -= lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
     return params, state
 
 
@@ -200,8 +203,7 @@ def fit(
 
     rng = np.random.default_rng(config.seed)
     if init_model is None:
-        shapes = [(train.windows.shape[1], 10), (10, N_CLASSES)]
-        model = glorot_init(shapes, config.variant, rng)
+        model = glorot_init(LAYER_SHAPES, config.variant, rng)
     else:
         model = copy.deepcopy(init_model)
     params = model.parameters
@@ -287,36 +289,35 @@ def distill_backward(
     return _grads_from_dz2(student, x, a1, z1, dz2)
 
 
-def distill(
-    teacher: DenseModel, train: BeatSet, config: TrainConfig, temperature: float = 10.0
-) -> DenseModel:
+def distill(teacher: DenseModel, train: BeatSet, config: TrainConfig) -> DenseModel:
     """Train a 61 -> 4 -> 4 student against the teacher's softened outputs.
 
     Loss = 0.9 * KL(teacher softmax(z/T) || student softmax(z/T))
          + 0.1 * cross-entropy(hard one-hot targets, student softmax(z)).
-    Softmax is applied to both logit sets regardless of variant. Batches
+    T is `DISTILL_TEMPERATURE`. Softmax is applied to both logit sets
+    regardless of variant. Batches
     follow `fit`'s schedule, `config.full_pass` included; no caller sets
     it, so the student still takes one step per epoch.
     """
-    soft_targets = softmax(_logits(teacher, train.windows) / temperature)
+    soft_targets = softmax(_logits(teacher, train.windows) / DISTILL_TEMPERATURE)
     hard_targets = one_hot(train.labels)
     rng = np.random.default_rng(config.seed)
-    student = glorot_init(
-        [(train.windows.shape[1], 4), (4, N_CLASSES)], teacher.variant, rng
-    )
+    shapes = [(INPUT_LEN, STUDENT_HIDDEN_LEN), (STUDENT_HIDDEN_LEN, OUTPUT_LEN)]
+    student = glorot_init(shapes, teacher.variant, rng)
     params = student.parameters
     state = AdamState.for_params(params)
     for batches in _epochs(len(train), config, rng):
         for idx in batches:
             grads = distill_backward(
-                student, train.windows[idx], soft_targets[idx], hard_targets[idx], temperature
+                student, train.windows[idx], soft_targets[idx], hard_targets[idx],
+                DISTILL_TEMPERATURE,
             )
             adam_step(params, grads, state, config.learning_rate)
     return student
 
 
 def distill_loss(
-    teacher_logits, student_logits, hard_targets, temperature: float = 10.0
+    teacher_logits, student_logits, hard_targets, temperature: float = DISTILL_TEMPERATURE
 ) -> float:
     """The distillation objective itself, exposed for verification."""
     q = softmax(np.asarray(teacher_logits) / temperature)

@@ -1,9 +1,11 @@
 import json
+import zipfile
 
 import numpy as np
 import pytest
 
 from tinyecg.cli import EXIT_BUDGET, EXIT_CHECKSUM, EXIT_INPUT, EXIT_OK, main
+from tinyecg.ingest import BeatSet
 from tinyecg.modelio import save_model, save_qmodel
 from tinyecg.nn import DenseModel, glorot_init
 from tinyecg.quant import quantize_model
@@ -179,6 +181,21 @@ class TestQuantize:
         assert doc["memory"]["temp_dequant_bytes_actual"] == 4
         assert doc["zero_point"] == 0
 
+    def test_json_field_lists(self, workspace, capsys):
+        # the report objects' keys, in order, as the JSON has always carried them
+        main([
+            "quantize", "--model", str(workspace / "model.tnn"),
+            "--out", str(workspace / "q4.tnq"), "--json",
+        ])
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["flops", "kernel_flops", "memory", "scale", "zero_point", "mode"]
+        assert list(doc["flops"]) == ["layers", "total"]
+        assert list(doc["kernel_flops"]) == ["layers", "total"]
+        assert list(doc["memory"]) == [
+            "model_param_bytes", "temp_dequant_bytes", "temp_dequant_bytes_actual",
+            "model_bytes", "buffer_bytes", "total_bytes", "budget_bytes", "over_budget",
+        ]
+
     def test_asymmetric_mode_notes_zero_point(self, workspace, tmp_path, capsys):
         main([
             "quantize", "--model", str(workspace / "model.tnn"),
@@ -220,6 +237,44 @@ class TestQuantize:
             "--out", str(tmp_path / "big.tnq"),
         ])
         assert code == EXIT_BUDGET
+
+
+def _truncated(path):
+    BeatSet(np.zeros((4, 61)), np.zeros(4, dtype=np.int64)).save(path)
+    path.write_bytes(path.read_bytes()[:100])
+
+
+def _damaged_header(path):
+    # a .npy member whose header dict is cut short
+    header = b"{'descr': '<f8', "
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr(
+            "windows.npy", b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header)
+
+
+BAD_BEATS_FILES = {
+    "unreadable": _truncated,
+    "damaged-header": _damaged_header,
+    "missing-array": lambda path: np.savez(path, labels=np.zeros(4, np.int64), skipped=0),
+    "non-finite": lambda path: BeatSet(
+        np.full((8, 61), np.nan), np.arange(8) % 4).save(path),
+    "label-codes": lambda path: BeatSet(
+        np.ones((8, 61)), [0, 1, 2, 3, 0, 1, 5, -1]).save(path),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BEATS_FILES))
+def test_bad_beats_file_rejected_naming_path(case, tmp_path, capsys):
+    # each would otherwise crash with a traceback, train a NaN model, or
+    # drop beats without a word
+    path = tmp_path / f"{case}.npz"
+    BAD_BEATS_FILES[case](path)
+    code = main([
+        "train", "--beats", str(path), "--epochs", "2", "--out", str(tmp_path / "m.tnn"),
+    ])
+    assert code == EXIT_INPUT
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "m.tnn").exists()
 
 
 class TestEval:
@@ -357,6 +412,22 @@ class TestStream:
             "stream", "--signal", str(workspace / "stream_n.csv"), "--qmodel", str(bad),
         ])
         assert code == EXIT_CHECKSUM
+
+    def test_nan_scale_rejected_before_any_beat(self, workspace, tmp_path, capsys,
+                                                patch_checked_byte):
+        # a CRC-valid .tnq whose scale is NaN would label every beat N
+        bad = tmp_path / "nan_scale.tnq"
+        bad.write_bytes((workspace / "model.tnq").read_bytes())
+        # magic, version and tag length (6 bytes), the tag, the mode byte,
+        # then the little-endian float64 scale: its top two bytes F8 7F make a NaN
+        scale_at = 6 + bad.read_bytes()[5] + 1
+        patch_checked_byte(bad, scale_at + 6, 0xF8)
+        patch_checked_byte(bad, scale_at + 7, 0x7F)
+        code = main([
+            "stream", "--signal", str(workspace / "stream_v.csv"), "--qmodel", str(bad),
+        ])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().out == ""
 
     def test_other_input_width_rejected_before_the_signal_is_read(self, tmp_path, capsys):
         # a valid .tnq of a 60-10-4 model: the width check names both widths

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from scipy import signal as sps
 
 from tinyecg.dsp import (
+    HIGH_CUT_HZ,
+    LOW_CUT_HZ,
     FilterSpec,
     StreamingPreprocessor,
     bandpass,
@@ -25,13 +27,21 @@ def steady_amplitude(y, fs=FS):
 
 class TestFilterSpec:
     def test_defaults(self, spec):
-        assert spec.low_cut_hz == 5.0
-        assert spec.high_cut_hz == 15.0
+        # every spec filters the paper's 5-15 Hz QRS band
+        assert (LOW_CUT_HZ, HIGH_CUT_HZ) == (5.0, 15.0)
+        b, a = bandpass_coefficients(spec)
+        b_ref, a_ref = sps.butter(1, [5.0, 15.0], btype="bandpass", fs=FS)
+        np.testing.assert_array_equal(b, b_ref)
+        np.testing.assert_array_equal(a, a_ref)
 
-    @pytest.mark.parametrize("low,high", [(0.0, 15.0), (15.0, 5.0), (5.0, 200.0)])
-    def test_invalid_band_rejected(self, low, high):
-        with pytest.raises(ValueError):
-            FilterSpec(sampling_rate_hz=FS, low_cut_hz=low, high_cut_hz=high)
+    @pytest.mark.parametrize("fs", [30.0, 20.0, 0.0])
+    def test_invalid_band_rejected(self, fs):
+        # the 15 Hz upper cut must lie below Nyquist
+        with pytest.raises(ValueError, match="Nyquist"):
+            FilterSpec(fs)
+
+    def test_rate_just_above_twice_the_upper_cut_accepted(self):
+        assert FilterSpec(31.0).sampling_rate_hz == 31.0
 
 
 class TestBandpass:

@@ -132,7 +132,7 @@ class TestExtractBeats:
         from tinyecg.dsp import preprocess
 
         sig = self._signal(300)
-        out = extract_beats(sig, [Annotation(150, "S")], spec)
+        out = extract_beats(sig, [Annotation(150, "S")])
         expected = preprocess(sig.samples, spec)[120:181]
         np.testing.assert_allclose(out.windows[0], expected)
         assert (out.windows[0] >= 0).all()

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tinyecg.dsp import FilterSpec
 from tinyecg.nn import VARIANTS, forward, model_forward, predict_labels, standard_model
+from tinyecg.qrs import RPeakDetector
 from tinyecg.quant import (
+    BYTES_PER_SAMPLE,
     DegenerateRangeError,
     QuantParams,
     QuantizedModel,
@@ -82,6 +85,11 @@ class TestComputeQparams:
         assert quantize(0.0, q) == -127
         assert dequantize(quantize(0.0, q), q) == pytest.approx(0.0)
         assert dequantize(quantize(10.0, q), q) == pytest.approx(10.0, abs=q.scale / 2)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            QuantParams(scale=scale, zero_point=0, alpha=-1.0, beta=1.0, mode="symmetric")
 
     def test_all_zero_model_rejected(self):
         model = standard_model("relu-sigmoid")
@@ -381,6 +389,12 @@ class TestCostReports:
         assert report.total_bytes == 1267
         assert report.budget_bytes == 2048
         assert not report.over_budget
+
+    def test_buffer_booked_is_the_detectors(self, rng):
+        # the ledger and the streaming detector read one buffer size
+        detector = RPeakDetector(FilterSpec(360.0))
+        report = memory_report(random_qmodel(rng))
+        assert report.buffer_bytes == detector.buffer.capacity * BYTES_PER_SAMPLE
 
     def test_over_budget_flagged(self):
         report = memory_report_from_shapes([(61, 128), (128, 64), (64, 4)])
