@@ -4,7 +4,8 @@
 Two checkouts that print the same lines compute the same bits: trained
 parameters and loss curves (`fit` in both batch schedules, `distill`,
 `prune_and_retrain`, `fit_weights_only`) for all four variants, both
-quantization modes, every forward and `predict_labels*`, saved
+quantization modes, every forward (per beat and batched) and
+`predict_labels*` in all three inference modes, saved
 `.tnm`/`.tnq` bytes with their JSON mirrors, `tinyecg quantize`'s
 stdout (text and `--json`), and the streaming detector's indices and
 labels over synthetic recordings with S, V and F beats. Inputs come from
@@ -148,6 +149,7 @@ def lines(epochs: int, work: Path):
 
         yield f"forward_batch.{variant}", digest(*forward_batch(model, windows))
         yield f"model_forward.{variant}", digest(*(model_forward(model, w) for w in windows))
+        yield f"model_forward.batch.{variant}", digest(model_forward(model, windows))
         yield f"predict_labels.{variant}", digest(predict_labels(model, windows))
         model_path = work / f"{variant}.tnm"
         modelio.save_model(model, model_path)
@@ -162,12 +164,12 @@ def lines(epochs: int, work: Path):
             yield f"quantize.{mode}.{variant}", digest(
                 *qmodel.parameters, [qp.scale, qp.alpha, qp.beta], [qp.zero_point],
                 *quant.dequantize_model(qmodel).parameters)
-            yield f"forward_temporary_dequantized.{mode}.{variant}", digest(
-                *(quant.forward_temporary_dequantized(qmodel, w) for w in windows))
-            yield f"forward_quantized_only.{mode}.{variant}", digest(
-                *(quant.forward_quantized_only(qmodel, w) for w in windows))
+            for fn in (quant.forward_temporary_dequantized, quant.forward_quantized_only):
+                name = fn.__name__
+                yield f"{name}.{mode}.{variant}", digest(*(fn(qmodel, w) for w in windows))
+                yield f"{name}.batch.{mode}.{variant}", digest(fn(qmodel, windows))
             yield f"predict_labels_quantized.{mode}.{variant}", digest(
-                quant.predict_labels_quantized(qmodel, windows[:40], temporary=True),
+                quant.predict_labels_quantized(qmodel, windows, temporary=True),
                 quant.predict_labels_quantized(qmodel, windows, temporary=False))
             path = work / f"{variant}.{mode}.tnq"
             modelio.save_qmodel(qmodel, path)

@@ -18,6 +18,7 @@ import numpy as np
 from . import metrics, modelio, quant
 from .dsp import FilterSpec
 from .ingest import (
+    SAMPLING_RATE_HZ,
     WINDOW_LEN,
     BeatSet,
     ParseError,
@@ -41,7 +42,6 @@ EXIT_CHECKSUM = 4
 EXIT_BUDGET = 5
 
 INFERENCE_MODES = ("default", "quantized", "temporary-dequantized")
-SAMPLING_RATE_HZ = 360.0  # MIT-BIH
 TRAIN_FRACTION = 0.67
 
 
@@ -242,8 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("all", "train", "test"), default="all")
     p.add_argument("--train-fraction", type=float, default=TRAIN_FRACTION)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true")
+    fmt.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("stream", help="replay a recording through detection + classification")

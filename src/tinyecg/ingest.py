@@ -25,6 +25,7 @@ import numpy as np
 from .dsp import FilterSpec, preprocess
 from .labels import CLASSES, LABEL_INDEX, OTHER, aami_class
 
+SAMPLING_RATE_HZ = 360.0  # MIT-BIH, the deployed rate
 WINDOW_HALF = 30
 WINDOW_LEN = 2 * WINDOW_HALF + 1
 # What np.load raises on a damaged archive, seen by flipping each byte of

@@ -12,7 +12,8 @@ Round trips are bit-exact; a trailing CRC32 guards against truncation
 and corruption. A CRC-valid file is still checked before any parameter
 is read: each stored activation must be the one the variant tag names
 (the only activation a loaded model carries), and layer 1's width must
-be layer 2's input width.
+be layer 2's input width. A float model whose parameters are not all
+finite is rejected as unusable input (`ValueError`, naming the path).
 """
 
 from __future__ import annotations
@@ -125,7 +126,11 @@ def save_model(model: DenseModel, path) -> None:
 
 def load_model(path) -> DenseModel:
     rd = _open_checked(path, MAGIC_FLOAT)
-    return DenseModel(*_read_params(rd, "<f8"), rd.variant)
+    params = _read_params(rd, "<f8")
+    for name, p in zip(("w1", "b1", "w2", "b2"), params):
+        if not np.isfinite(p).all():
+            raise ValueError(f"{path}: {name} holds a non-finite value")
+    return DenseModel(*params, rd.variant)
 
 
 def save_qmodel(qmodel: QuantizedModel, path) -> None:

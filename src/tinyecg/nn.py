@@ -9,10 +9,11 @@ not hard-coded so the same code serves reduced test fixtures and the
 distilled 61 -> 4 -> 4 student. Outputs follow the fixed class order
 N, S, V, F.
 
-Every single-beat inference, float or int8, runs through one walker,
-`forward`, which checks the beat's shape once and applies a layer kernel
-to each (weights, bias) pair with that layer's activation; `dense` is
-the float kernel.
+Every inference, float or int8, on one beat `(fan_in,)` or a batch
+`(n, fan_in)`, runs through one walker, `forward`, which checks the
+input's shape once and applies a layer kernel to each (weights, bias)
+pair with that layer's activation; `dense` is the float kernel. Batch
+labels (`predict_labels`) are one walk plus an argmax per row.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ def softmax(z) -> np.ndarray:
     copy add left to right like numpy's sum over a short last axis; ~1e-15 above.
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.size == 0:
-        raise ValueError("softmax needs a non-empty vector")
+    if not z.shape or z.shape[-1] == 0:
+        raise ValueError("softmax needs at least one class")
     zt = np.ascontiguousarray(z.T)
     e = np.exp(zt - zt.max(axis=0))
     e /= e.sum(axis=0)
@@ -155,7 +156,8 @@ def dense(x, w, b, activation: str) -> np.ndarray:
 
 
 def forward(model, beat, kernel=dense, *args) -> np.ndarray:
-    """Walk one beat through `model`, float or int8, one kernel call per layer.
+    """Walk one beat `(fan_in,)` or a batch `(n, fan_in)` through `model`,
+    float or int8, one kernel call per layer; one score row per beat.
 
     Each layer runs `kernel(x, weights, bias, activation, *args)`, its
     activation taken from the model's variant.
@@ -163,8 +165,8 @@ def forward(model, beat, kernel=dense, *args) -> np.ndarray:
     x = np.asarray(beat, dtype=np.float64)
     pairs = model.pairs
     fan_in = pairs[0][0].shape[0]
-    if x.shape != (fan_in,):
-        raise ValueError(f"expected beat of shape ({fan_in},), got {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[-1] != fan_in:
+        raise ValueError(f"expected shape ({fan_in},) or (n, {fan_in}), got {x.shape}")
     for (w, b), activation in zip(pairs, VARIANTS[model.variant]):
         x = kernel(x, w, b, activation, *args)
     return x
@@ -181,8 +183,5 @@ def predict(model: DenseModel, beat) -> str:
 
 
 def predict_labels(model: DenseModel, windows) -> np.ndarray:
-    """Predicted class codes for an array of beat windows, one forward each."""
-    windows = np.asarray(windows, dtype=np.float64)
-    return np.array(
-        [int(np.argmax(model_forward(model, w))) for w in windows], dtype=np.int64
-    )
+    """Predicted class codes for an (n, fan_in) array of beat windows, from one walk."""
+    return np.argmax(forward(model, windows), axis=1)

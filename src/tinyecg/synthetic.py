@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ingest import WINDOW_LEN, BeatSet
+from .ingest import SAMPLING_RATE_HZ, WINDOW_LEN, BeatSet
 from .labels import CLASSES
 
 
@@ -35,7 +35,7 @@ BEAT_SHAPES = {
 def labeled_recording(
     labels: list[str],
     bpm: float = 75.0,
-    fs: float = 360.0,
+    fs: float = SAMPLING_RATE_HZ,
     snr_db: float | None = None,
     seed: int = 0,
     start_s: float = 0.5,
@@ -61,7 +61,7 @@ def labeled_recording(
 def pulse_train(
     n_beats: int,
     bpm: float = 75.0,
-    fs: float = 360.0,
+    fs: float = SAMPLING_RATE_HZ,
     snr_db: float | None = None,
     seed: int = 0,
     start_s: float = 0.5,

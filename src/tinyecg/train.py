@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -20,7 +21,7 @@ from .ingest import BeatSet
 from .labels import CLASSES
 from .metrics import confusion, scores
 from .nn import _ACT_FN, INPUT_LEN, LAYER_SHAPES, OUTPUT_LEN, RELU, SIGMOID, VARIANTS
-from .nn import DenseModel, glorot_init, softmax
+from .nn import DenseModel, glorot_init, predict_labels, softmax
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -41,8 +42,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.variant not in VARIANTS:
@@ -175,9 +178,8 @@ def _epochs(n: int, config: TrainConfig, rng: np.random.Generator):
 
 
 def evaluate(model: DenseModel, beats: BeatSet) -> tuple[float, float]:
-    """Accuracy and macro-F1 of `model` on `beats`, from one batched forward."""
-    _, _, _, out = forward_batch(model, beats.windows)
-    report = scores(confusion(beats.labels, np.argmax(out, axis=1)))
+    """Accuracy and macro-F1 of `model` on `beats`, from one batched walk."""
+    report = scores(confusion(beats.labels, predict_labels(model, beats.windows)))
     return report.accuracy, report.macro_f1
 
 

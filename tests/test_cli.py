@@ -143,6 +143,18 @@ class TestTrain:
         for variant in ("sigmoid-sigmoid", "relu-sigmoid", "relu-softmax", "sigmoid-softmax"):
             assert variant in err
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_rejected(self, workspace, tmp_path, capsys, lr):
+        # it used to train a model made entirely of NaN and exit 0
+        out = tmp_path / "lr.tnn"
+        code = main([
+            "train", "--beats", str(workspace / "beats.npz"), "--epochs", "3",
+            "--learning-rate", lr, "--out", str(out),
+        ])
+        assert code == EXIT_INPUT
+        assert "learning_rate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_softmax_variant_outputs_sum_to_one(self, workspace, tmp_path):
         out = tmp_path / "soft.tnn"
         assert main([
@@ -358,6 +370,32 @@ class TestEval:
         assert code == EXIT_INPUT
         assert "no beats" in capsys.readouterr().err
 
+    def test_json_and_csv_together_usage_error(self, workspace, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "eval", "--model", str(workspace / "model.tnn"),
+                "--beats", str(workspace / "beats.npz"), "--json", "--csv",
+            ])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "quantize"])
+    def test_non_finite_model_rejected_naming_path(self, workspace, tmp_path, capsys,
+                                                   command):
+        # a CRC-valid .tnm of NaN parameters used to label every beat N
+        # (eval) or fail converting NaN to an integer (quantize)
+        model = glorot_init([(61, 10), (10, 4)], "sigmoid-sigmoid", np.random.default_rng(0))
+        model.w2[:] = np.nan
+        path = tmp_path / "nan.tnn"
+        save_model(model, path)
+        args = {"eval": ["--beats", str(workspace / "beats.npz")],
+                "quantize": ["--out", str(tmp_path / "nan.tnq")]}[command]
+        code = main([command, "--model", str(path), *args])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: w2 holds a non-finite value" in captured.err
+
     def test_misspelled_mode_usage_error(self, workspace):
         with pytest.raises(SystemExit) as exc:
             main([
@@ -454,3 +492,15 @@ def test_console_entry_point():
     assert proc.returncode == 0
     for sub in ("ingest", "train", "quantize", "eval", "stream"):
         assert sub in proc.stdout
+
+
+def test_one_sampling_rate():
+    # the CLI's --sampling-rate default and the synthetic recordings' rate
+    # are the one deployed rate defined in `ingest`
+    import inspect
+
+    from tinyecg import cli, ingest, synthetic
+
+    assert cli.SAMPLING_RATE_HZ is ingest.SAMPLING_RATE_HZ == 360.0
+    for fn in (synthetic.labeled_recording, synthetic.pulse_train):
+        assert inspect.signature(fn).parameters["fs"].default is ingest.SAMPLING_RATE_HZ

@@ -79,6 +79,19 @@ class TestFloatFormat:
         with pytest.raises(ChecksumError):
             load_model(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", range(4), ids=["w1", "b1", "w2", "b2"])
+    def test_non_finite_parameter_rejected(self, model, tmp_path, index, value):
+        # the CRC guards the bytes, not their meaning: a NaN model would
+        # label every beat N
+        model.parameters[index].flat[0] = value
+        path = tmp_path / "nan.tnn"
+        save_model(model, path)
+        name = ("w1", "b1", "w2", "b2")[index]
+        with pytest.raises(ValueError, match=f"nan.tnn: {name} holds a non-finite value") as exc:
+            load_model(path)
+        assert not isinstance(exc.value, ChecksumError)
+
     def test_wrong_magic_rejected(self, model, qmodel, tmp_path):
         path = tmp_path / "q.tnq"
         save_qmodel(qmodel, path)

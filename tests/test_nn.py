@@ -119,6 +119,16 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             softmax([])
 
+    @pytest.mark.parametrize("shape", [(3, 0), ()])
+    def test_no_classes_rejected(self, shape):
+        with pytest.raises(ValueError, match="class"):
+            softmax(np.zeros(shape))
+
+    def test_empty_batch_accepted(self):
+        # a batch of no rows has nothing to normalize, not no classes
+        out = softmax(np.empty((0, 4)))
+        assert out.shape == (0, 4)
+
     @given(finite_vectors)
     def test_sums_to_one(self, z):
         assert float(np.sum(softmax(z))) == pytest.approx(1.0, abs=1e-9)
@@ -170,6 +180,21 @@ class TestLayerForward:
         )
         with pytest.raises(ValueError, match="shape"):
             forward(model, np.zeros(4))
+
+    @pytest.mark.parametrize("shape", [(), (2, 3, 3), (5, 4), (3, 1), (0, 2)])
+    def test_bad_batch_shapes_rejected(self, shape):
+        # one beat (fan_in,) or a batch (n, fan_in), nothing else
+        model = DenseModel(np.zeros((3, 2)), np.zeros(2), np.zeros((2, 2)), np.zeros(2),
+                           "relu-sigmoid")
+        with pytest.raises(ValueError, match="shape"):
+            forward(model, np.zeros(shape))
+
+    def test_batch_of_one_is_the_beat(self):
+        model = standard_model("sigmoid-softmax", seed=2)
+        beat = np.linspace(0, 1, 61)
+        out = forward(model, beat[None, :])
+        assert out.shape == (1, 4)
+        np.testing.assert_allclose(out[0], forward(model, beat), rtol=0, atol=1e-12)
 
     def test_walker_applies_the_variant_activations(self):
         # the variant alone names each layer's activation: a kernel that

@@ -204,13 +204,13 @@ class TestFit:
 
     @pytest.mark.parametrize("epochs", [1, 7])
     def test_one_forward_per_step(self, toy_beats, monkeypatch, epochs):
-        # one batched forward per Adam step, plus `evaluate` on the train
-        # and on the test set
+        # one batched forward per Adam step; `evaluate` walks the train
+        # and the test set through `nn.forward`, not `forward_batch`
         calls = []
         monkeypatch.setattr(train_module, "forward_batch",
                             lambda *args: calls.append(args) or forward_batch(*args))
         fit(toy_beats, toy_beats, TrainConfig(epochs=epochs, seed=0))
-        assert len(calls) == epochs + 2
+        assert len(calls) == epochs
 
     def test_full_pass_mode(self, toy_beats):
         config = TrainConfig(epochs=5, batch_size=64, full_pass=True, seed=0)
@@ -223,6 +223,11 @@ class TestFit:
         _, trace = fit(train_set, test_set, TrainConfig(epochs=300, seed=0))
         assert trace.test_accuracy >= 0.95
         assert 0 <= trace.test_macro_f1 <= 1
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, 0.0, -0.001])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
 
     def test_trace_csv(self, toy_beats, tmp_path):
         _, trace = fit(toy_beats, None, TrainConfig(epochs=3))
