@@ -13,7 +13,7 @@ Every inference, float or int8, on one beat `(fan_in,)` or a batch
 `(n, fan_in)`, runs through one walker, `forward`, which checks the
 input's shape once and applies a layer kernel to each (weights, bias)
 pair with that layer's activation; `dense` is the float kernel. Batch
-labels (`predict_labels`) are one walk plus an argmax per row.
+labels (`predict_labels`) are still walked one beat at a time.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def forward(model, beat, kernel=dense, *args) -> np.ndarray:
     x = np.asarray(beat, dtype=np.float64)
     pairs = model.pairs
     fan_in = pairs[0][0].shape[0]
-    if x.ndim not in (1, 2) or x.shape[-1] != fan_in:
+    if x.shape != (fan_in,) and (x.ndim != 2 or x.shape[1] != fan_in):
         raise ValueError(f"expected shape ({fan_in},) or (n, {fan_in}), got {x.shape}")
     for (w, b), activation in zip(pairs, VARIANTS[model.variant]):
         x = kernel(x, w, b, activation, *args)
@@ -183,5 +183,8 @@ def predict(model: DenseModel, beat) -> str:
 
 
 def predict_labels(model: DenseModel, windows) -> np.ndarray:
-    """Predicted class codes for an (n, fan_in) array of beat windows, from one walk."""
-    return np.argmax(forward(model, windows), axis=1)
+    """Predicted class codes for an array of beat windows, one forward each."""
+    windows = np.asarray(windows, dtype=np.float64)
+    return np.array(
+        [int(np.argmax(model_forward(model, w))) for w in windows], dtype=np.int64
+    )

@@ -16,11 +16,11 @@ int8 codes instead and rescales once per output neuron (Jacob et al.
 2018). With one global scale s and zero point z,
 x @ s(W_q + z) + s(b_q + z) = s(x @ W_q + b_q + z(sum(x) + 1)), so the
 two routes are equal in real arithmetic and differ only in rounding.
-The live stream (`forward_temporary_dequantized`) and batch tdq eval
-(`predict_labels_quantized`) both run the factored kernel.
-`forward_quantized_only` instead feeds the raw integer codes to the
-float kernel `nn.dense`, the cheapest (and least accurate) deployment
-mode.
+The live stream takes the factored kernel; batch eval
+(`predict_labels_quantized`) replays the deployed per-parameter route,
+`_per_parameter_layer`, one beat at a time. `forward_quantized_only`
+instead feeds the raw integer codes to the float kernel `nn.dense`, the
+cheapest (and least accurate) deployment mode.
 """
 
 from __future__ import annotations
@@ -151,6 +151,19 @@ def _temporary_layer(x, w_q, b_q, activation, q: QuantParams) -> np.ndarray:
     return _ACT_FN[activation](acc)
 
 
+def _per_parameter_layer(x, w_q, b_q, activation, q: QuantParams) -> np.ndarray:
+    """The deployed kernel's route: each parameter dequantized at its use."""
+    fan_in, fan_out = w_q.shape
+    s, z = q.scale, q.zero_point
+    result = np.zeros(fan_out)
+    for j in range(fan_out):
+        acc = 0.0
+        for k in range(fan_in):
+            acc += x[k] * (s * (float(w_q[k, j]) + z))  # dequantized here, then dropped
+        result[j] = acc + s * (float(b_q[j]) + z)
+    return _ACT_FN[activation](result)
+
+
 def forward_temporary_dequantized(qmodel: QuantizedModel, beat) -> np.ndarray:
     """Inference with int8-resident parameters, rescaled by the global scale;
     one beat or a batch, as `nn.forward`."""
@@ -165,13 +178,17 @@ def forward_quantized_only(qmodel: QuantizedModel, beat) -> np.ndarray:
 def predict_labels_quantized(
     qmodel: QuantizedModel, windows, temporary: bool = True
 ) -> np.ndarray:
-    """Predicted class codes for an (n, fan_in) array of windows, from one walk.
+    """Predicted class codes for an array of windows, one forward each.
 
-    `temporary` runs the factored kernel the live stream runs; otherwise
-    the codes are read as real weights.
+    `temporary` runs the deployed kernel's per-parameter route; the live
+    stream calls the factored `forward_temporary_dequantized` per beat.
     """
-    walk = forward_temporary_dequantized if temporary else forward_quantized_only
-    return np.argmax(walk(qmodel, windows), axis=1)
+    kernel, args = (_per_parameter_layer, (qmodel.qparams,)) if temporary else (dense, ())
+    return np.array(
+        [int(np.argmax(forward(qmodel, w, kernel, *args)))
+         for w in np.asarray(windows, dtype=np.float64)],
+        dtype=np.int64,
+    )
 
 
 @dataclass(frozen=True)

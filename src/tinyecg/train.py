@@ -21,7 +21,7 @@ from .ingest import BeatSet
 from .labels import CLASSES
 from .metrics import confusion, scores
 from .nn import _ACT_FN, INPUT_LEN, LAYER_SHAPES, OUTPUT_LEN, RELU, SIGMOID, VARIANTS
-from .nn import DenseModel, glorot_init, predict_labels, softmax
+from .nn import DenseModel, forward, glorot_init, softmax
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -179,7 +179,7 @@ def _epochs(n: int, config: TrainConfig, rng: np.random.Generator):
 
 def evaluate(model: DenseModel, beats: BeatSet) -> tuple[float, float]:
     """Accuracy and macro-F1 of `model` on `beats`, from one batched walk."""
-    report = scores(confusion(beats.labels, predict_labels(model, beats.windows)))
+    report = scores(confusion(beats.labels, np.argmax(forward(model, beats.windows), axis=1)))
     return report.accuracy, report.macro_f1
 
 

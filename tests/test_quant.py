@@ -4,20 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tinyecg.dsp import FilterSpec
-from tinyecg.nn import (
-    _ACT_FN,
-    VARIANTS,
-    forward,
-    model_forward,
-    predict_labels,
-    standard_model,
-)
+from tinyecg.nn import VARIANTS, forward, model_forward, predict_labels, standard_model
 from tinyecg.qrs import RPeakDetector
 from tinyecg.quant import (
     BYTES_PER_SAMPLE,
     DegenerateRangeError,
     QuantParams,
     QuantizedModel,
+    _per_parameter_layer,
     compute_qparams,
     dequantize,
     dequantize_model,
@@ -54,20 +48,6 @@ def reference_qparams():
         beta=REFERENCE_MAX_ABS,
         mode="symmetric",
     )
-
-
-def _per_parameter_layer(x, w_q, b_q, activation, q: QuantParams) -> np.ndarray:
-    """The deployed kernel's route, one beat at a time: each parameter
-    dequantized at its use. The oracle for the factored `_temporary_layer`."""
-    fan_in, fan_out = w_q.shape
-    s, z = q.scale, q.zero_point
-    result = np.zeros(fan_out)
-    for j in range(fan_out):
-        acc = 0.0
-        for k in range(fan_in):
-            acc += x[k] * (s * (float(w_q[k, j]) + z))  # dequantized here, then dropped
-        result[j] = acc + s * (float(b_q[j]) + z)
-    return _ACT_FN[activation](result)
 
 
 def model_with_params(values, variant="sigmoid-sigmoid"):
@@ -332,11 +312,10 @@ class TestPredictLabels:
     @example(variant="sigmoid-softmax", zero_point=0, n_beats=23, seed=7997)
     def test_match_per_beat_argmax(self, variant, zero_point, n_beats, seed):
         # labels for an array of windows equal each beat's argmax of the
-        # same route in every mode (tdq: the factored kernel the stream
-        # runs), and no beats gives no labels, not an error. Across routes
-        # (the per-parameter oracle, the dequantized float model) outputs
-        # agree only up to rounding, so labels are compared only where the
-        # per-parameter route's top two are > 1e-8 apart.
+        # same route in every mode, and no beats gives no labels, not an
+        # error. Across routes (the factored kernel, the dequantized float
+        # model) outputs agree only up to rounding, so labels are compared
+        # only where the per-parameter route's top two are > 1e-8 apart.
         rng = np.random.default_rng(seed)
         qm = random_qmodel(rng, variant, zero_point)
         model = dequantize_model(qm)
@@ -350,28 +329,17 @@ class TestPredictLabels:
         quantized = predict_labels_quantized(qm, windows, temporary=False)
         for labels in (default, tdq, quantized):
             assert labels.dtype == np.int64 and labels.shape == (n_beats,)
+        per_parameter = outputs(forward, qm, _per_parameter_layer, qm.qparams)
         np.testing.assert_array_equal(default, outputs(model_forward, model).argmax(axis=1))
-        np.testing.assert_array_equal(
-            tdq, outputs(forward_temporary_dequantized, qm).argmax(axis=1)
-        )
+        np.testing.assert_array_equal(tdq, per_parameter.argmax(axis=1))
         np.testing.assert_array_equal(
             quantized, outputs(forward_quantized_only, qm).argmax(axis=1)
         )
-        per_parameter = outputs(forward, qm, _per_parameter_layer, qm.qparams)
         top_two = np.sort(per_parameter, axis=1)[:, -2:]
         clear = top_two[:, 1] - top_two[:, 0] > 1e-8
-        np.testing.assert_array_equal(tdq[clear], per_parameter.argmax(axis=1)[clear])
+        factored = outputs(forward_temporary_dequantized, qm).argmax(axis=1)
+        np.testing.assert_array_equal(tdq[clear], factored[clear])
         np.testing.assert_array_equal(tdq[clear], default[clear])
-
-    def test_tie_labelled_as_the_stream_labels_it(self):
-        # the pinned counterexample's beat 22 scores 0.5/0.5 for N and S;
-        # batch tdq eval and the live stream run one kernel, so they agree
-        rng = np.random.default_rng(7997)
-        qm = random_qmodel(rng, "sigmoid-softmax")
-        windows = rng.uniform(0, 2, (23, 61))
-        stream = [int(np.argmax(forward_temporary_dequantized(qm, w))) for w in windows]
-        np.testing.assert_array_equal(predict_labels_quantized(qm, windows), stream)
-        assert stream[22] == 0
 
 
 class TestBatchWalk:
@@ -389,8 +357,8 @@ class TestBatchWalk:
         # batched forward is that beat's own forward up to summation order
         # (numpy's matrix-matrix and matrix-vector products add in
         # different orders; 1e-12 failed for about 1 in 2,600 draws, 1e-11
-        # for none of 45,000), and the batch labels are the per-beat argmax
-        # wherever the top two are > 1e-8 apart
+        # for none of 45,000), and the labels of `predict_labels*` are the
+        # per-beat argmax wherever the top two are > 1e-8 apart
         rng = np.random.default_rng(seed)
         qm = random_qmodel(rng, variant, zero_point)
         model = dequantize_model(qm)
