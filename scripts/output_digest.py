@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print one `<name> <sha256>` line per output family of the pipeline.
 
-Two checkouts that print the same lines compute the same bits: trained
+Two checkouts that print the same lines compute the same bits: the
+bandpass biquad's coefficients over a grid of sampling rates, trained
 parameters and loss curves (`fit` in both batch schedules, `distill`,
 `prune_and_retrain`, `fit_weights_only`) for all four variants, both
 quantization modes, every forward (per beat and batched) and
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from tinyecg import cli, modelio, quant
-from tinyecg.dsp import FilterSpec
+from tinyecg.dsp import FilterSpec, bandpass_coefficients
 from tinyecg.ingest import extract_beats, load_annotations, load_signal, split
 from tinyecg.nn import VARIANTS, model_forward, predict_labels, sigmoid, softmax
 from tinyecg.qrs import RPeakDetector, WindowLostError, emit_window
@@ -118,6 +119,10 @@ def detect(seed: int):
 
 
 def lines(epochs: int, work: Path):
+    rates = np.union1d(np.geomspace(30.5, 1e6, 400), [128.0, 250.0, FS, 500.0, 1000.0, 1e300])
+    yield "dsp.bandpass_coefficients", digest(*(
+        c for fs in rates for c in bandpass_coefficients(FilterSpec(fs))))
+
     rng = np.random.default_rng(1)
     z = np.concatenate([rng.normal(0, 30, 2000), SPECIAL])
     yield "nn.sigmoid", digest(sigmoid(z), sigmoid(z.reshape(-1, 1)))

@@ -4,6 +4,10 @@ The same chain runs in two shapes: vectorized over a whole recording
 (training data preparation) and one sample at a time (live detection).
 Every stage is causal and length-preserving, so an R-peak index in the
 raw signal addresses the same position in the preprocessed stream.
+
+Only the batch `bandpass` (and so `preprocess`) loads scipy, for its
+`lfilter`. The biquad itself is designed in numpy, so the live chain
+(`StreamingPreprocessor`) never imports scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _sps
 
 LOW_CUT_HZ = 5.0
 HIGH_CUT_HZ = 15.0
@@ -27,30 +30,45 @@ class FilterSpec:
     sampling_rate_hz: float
 
     def __post_init__(self) -> None:
-        if not HIGH_CUT_HZ < self.sampling_rate_hz / 2:
+        if not (math.isfinite(self.sampling_rate_hz)
+                and HIGH_CUT_HZ < self.sampling_rate_hz / 2):
             raise ValueError(
-                f"the {LOW_CUT_HZ}-{HIGH_CUT_HZ} Hz passband needs a Nyquist rate"
+                f"the {LOW_CUT_HZ}-{HIGH_CUT_HZ} Hz passband needs a finite Nyquist rate"
                 f" above {HIGH_CUT_HZ} Hz, got {self.sampling_rate_hz / 2}"
             )
 
 
 def bandpass_coefficients(spec: FilterSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Second-order Butterworth bandpass (biquad) via the bilinear transform."""
-    return _sps.butter(
-        1,
-        [LOW_CUT_HZ, HIGH_CUT_HZ],
-        btype="bandpass",
-        fs=spec.sampling_rate_hz,
-    )
+    """Second-order Butterworth bandpass (biquad) via the bilinear transform.
+
+    The steps of scipy 1.17.1's `butter(1, [LOW_CUT_HZ, HIGH_CUT_HZ],
+    btype="bandpass", fs=fs)`, in scipy's order and written in numpy, so
+    `b` and `a` are the same bits as `butter`'s; the tests compare the two
+    byte for byte over a grid of rates. Designing it without scipy keeps
+    the live chain free of scipy's import time.
+    """
+    wn = np.array([LOW_CUT_HZ, HIGH_CUT_HZ]) / (spec.sampling_rate_hz / 2)
+    w_lo, w_hi = 4.0 * np.tan(np.pi * wn / 2.0)  # prewarp 2·fs·tan(π·wn/fs) at fs = 2
+    bw, wo = float(w_hi - w_lo), float(np.sqrt(w_lo * w_hi))
+    # lp2bp_zpk of buttap(1) (one pole at -1, gain 1): two poles, a zero at
+    # the origin and one at infinity, gain bw
+    p_lp = -np.ones(1, complex) * bw / 2
+    root = np.sqrt(p_lp**2 - wo**2)
+    p = np.concatenate((p_lp + root, p_lp - root))
+    # bilinear_zpk at fs = 2 maps the zeros to z = 1 and z = -1
+    k = bw * np.real(4.0 / np.prod(4.0 - p))
+    return k * np.array([1.0, 0.0, -1.0]), np.poly((4.0 + p) / (4.0 - p))
 
 
 def bandpass(samples, spec: FilterSpec) -> np.ndarray:
     """Causal single-pass bandpass; rejects DC and powerline-range noise."""
+    from scipy.signal import lfilter  # loaded only when a recording is filtered in batch
+
     x = np.asarray(samples, dtype=np.float64)
     if x.size == 0:
         raise ValueError("bandpass needs a non-empty sequence")
     b, a = bandpass_coefficients(spec)
-    return _sps.lfilter(b, a, x)
+    return lfilter(b, a, x)
 
 
 def derivative(samples) -> np.ndarray:

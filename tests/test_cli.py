@@ -112,6 +112,17 @@ class TestIngest:
         out = capsys.readouterr().out
         assert "0" in out
 
+    def test_infinite_sampling_rate_rejected(self, workspace, tmp_path, capsys):
+        # an infinite rate would design a dead filter (b = 0) that detects nothing
+        code = main([
+            "ingest", "--signal", str(workspace / "sig.csv"),
+            "--annotations", str(workspace / "ann.csv"),
+            "--out", str(tmp_path / "x.npz"), "--sampling-rate", "inf",
+        ])
+        assert code == EXIT_INPUT
+        assert "Nyquist" in capsys.readouterr().err
+        assert not (tmp_path / "x.npz").exists()
+
 
 class TestTrain:
     def test_deterministic_model_file(self, workspace, tmp_path):
@@ -481,6 +492,16 @@ class TestStream:
         assert str(path) in err
         assert "60-sample beats" in err and "61-sample windows" in err
 
+    def test_infinite_sampling_rate_rejected(self, workspace, capsys):
+        code = main([
+            "stream", "--signal", str(workspace / "stream_v.csv"),
+            "--qmodel", str(workspace / "model.tnq"), "--sampling-rate", "inf",
+        ])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Nyquist" in captured.err
+
 
 def test_console_entry_point():
     import subprocess
@@ -504,3 +525,61 @@ def test_one_sampling_rate():
     assert cli.SAMPLING_RATE_HZ is ingest.SAMPLING_RATE_HZ == 360.0
     for fn in (synthetic.labeled_recording, synthetic.pulse_train):
         assert inspect.signature(fn).parameters["fs"].default is ingest.SAMPLING_RATE_HZ
+
+
+# Run in a fresh interpreter: argv[1] is the workspace, and the rest name
+# the CLI calls to make there. Prints whether scipy got loaded.
+_SCIPY_PROBE = """
+import contextlib, io, sys
+from pathlib import Path
+
+import numpy as np
+
+import tinyecg
+from tinyecg import cli, modelio
+from tinyecg.dsp import FilterSpec
+from tinyecg.qrs import RPeakDetector
+
+work = Path(sys.argv[1])
+calls = {
+    "ingest": ["ingest", "--signal", work / "sig.csv", "--annotations", work / "ann.csv",
+               "--out", work / "probe_beats.npz"],
+    "train": ["train", "--beats", work / "beats.npz", "--epochs", "5",
+              "--out", work / "probe.tnm"],
+    "quantize": ["quantize", "--model", work / "probe.tnm", "--out", work / "probe.tnq"],
+    "eval": ["eval", "--model", work / "probe.tnm", "--beats", work / "beats.npz"],
+    "eval-tdq": ["eval", "--model", work / "probe.tnq", "--beats", work / "beats.npz",
+                 "--inference-mode", "temporary-dequantized"],
+    "stream": ["stream", "--signal", work / "stream_v.csv", "--qmodel", work / "probe.tnq"],
+}
+detector = RPeakDetector(FilterSpec(360.0))
+for x in np.sin(np.arange(720) / 9.0):
+    detector.push_sample(x)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main([str(a) for a in calls[name]]) for name in sys.argv[2:]]
+modelio.load_model(work / "model.tnn")
+modelio.load_qmodel(work / "model.tnq")
+print(codes, "scipy" in sys.modules)
+"""
+
+
+def _scipy_loaded(work, *commands) -> bool:
+    import subprocess
+    import sys
+
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(work), *commands],
+                          capture_output=True, text=True, check=True)
+    codes, loaded = proc.stdout.rsplit(" ", 1)
+    assert codes == str([EXIT_OK] * len(commands)), proc.stderr
+    return loaded.strip() == "True"
+
+
+def test_live_path_never_loads_scipy(workspace):
+    # the biquad is designed in numpy: a detector and every command but
+    # ingest run without importing scipy
+    assert not _scipy_loaded(workspace, "train", "quantize", "eval", "eval-tdq", "stream")
+
+
+def test_batch_preprocessing_loads_scipy(workspace):
+    # the same probe does see scipy once a recording is filtered in batch
+    assert _scipy_loaded(workspace, "ingest")
