@@ -9,11 +9,12 @@ not hard-coded so the same code serves reduced test fixtures and the
 distilled 61 -> 4 -> 4 student. Outputs follow the fixed class order
 N, S, V, F.
 
-Every inference, float or int8, on one beat `(fan_in,)` or a batch
-`(n, fan_in)`, runs through one walker, `forward`, which checks the
-input's shape once and applies a layer kernel to each (weights, bias)
-pair with that layer's activation; `dense` is the float kernel. Batch
-labels (`predict_labels`) are still walked one beat at a time.
+Every forward, float or int8, inference or training, on one beat
+`(fan_in,)` or a batch `(n, fan_in)`, runs through one walk, `layers`: it
+checks the input's shape once, then per layer runs a kernel's affine map
+(`dense` is the float one) and the variant's activation, and returns each
+layer's (z, a); `forward` keeps the last a. Batch labels
+(`predict_labels`) are still walked one beat at a time.
 """
 
 from __future__ import annotations
@@ -150,26 +151,32 @@ def standard_model(variant: str, seed: int = 0) -> DenseModel:
     return glorot_init(LAYER_SHAPES, variant, np.random.default_rng(seed))
 
 
-def dense(x, w, b, activation: str) -> np.ndarray:
-    """One float dense layer: activation(x @ W + b)."""
-    return _ACT_FN[activation](x @ w + b)
+def dense(x, w, b) -> np.ndarray:
+    """One float dense layer's affine map: x @ W + b."""
+    return x @ w + b
 
 
-def forward(model, beat, kernel=dense, *args) -> np.ndarray:
+def layers(model, beat, kernel=dense, *args) -> list[tuple[np.ndarray, np.ndarray]]:
     """Walk one beat `(fan_in,)` or a batch `(n, fan_in)` through `model`,
-    float or int8, one kernel call per layer; one score row per beat.
-
-    Each layer runs `kernel(x, weights, bias, activation, *args)`, its
-    activation taken from the model's variant.
+    float or int8: per layer, z = kernel(x, weights, bias, *args), then the
+    activation a the variant names. Returns `[(z1, a1), (z2, out)]`.
     """
     x = np.asarray(beat, dtype=np.float64)
     pairs = model.pairs
     fan_in = pairs[0][0].shape[0]
     if x.shape != (fan_in,) and (x.ndim != 2 or x.shape[1] != fan_in):
         raise ValueError(f"expected shape ({fan_in},) or (n, {fan_in}), got {x.shape}")
+    walk = []
     for (w, b), activation in zip(pairs, VARIANTS[model.variant]):
-        x = kernel(x, w, b, activation, *args)
-    return x
+        z = kernel(x, w, b, *args)
+        x = _ACT_FN[activation](z)
+        walk.append((z, x))
+    return walk
+
+
+def forward(model, beat, kernel=dense, *args) -> np.ndarray:
+    """The output layer's activation from `layers`: one score row per beat."""
+    return layers(model, beat, kernel, *args)[-1][1]
 
 
 def model_forward(model: DenseModel, beat) -> np.ndarray:

@@ -7,8 +7,8 @@ holds the int8 codes in the float model's two-layer record
 (`nn.TwoLayerModel`), so both share its shape checks and parameter views.
 
 Every int8 inference, one beat or a batch, runs through `nn.forward`,
-the walker float models use too; only the layer kernel differs, and the
-model's variant names each layer's activation. The deployed kernel
+the walk float models and training use too; only the layer kernel (the
+affine map) differs. The deployed kernel
 keeps its parameters int8-resident and scales each one back to a real
 value at its moment of use, so the working set grows by a few bytes
 instead of 4x. The host kernel `_temporary_layer` accumulates on the
@@ -31,7 +31,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .nn import _ACT_FN, DenseModel, TwoLayerModel, dense, forward
+from .nn import DenseModel, TwoLayerModel, dense, forward
 from .qrs import BUFFER_CAPACITY
 
 INT8_MIN = -127
@@ -134,13 +134,13 @@ def dequantize_model(qmodel: QuantizedModel) -> DenseModel:
     return DenseModel(*(dequantize(p, q) for p in qmodel.parameters), qmodel.variant)
 
 
-def _temporary_layer(x, w_q, b_q, activation, q: QuantParams) -> np.ndarray:
-    """One dense layer on int8 codes: accumulate, then rescale each output once.
+def _temporary_layer(x, w_q, b_q, q: QuantParams) -> np.ndarray:
+    """One dense layer's affine map on int8 codes, rescaled once per output.
 
-    Computes act(s * (x @ W_q + b_q + z * (sum(x) + 1))), which equals
-    act(x @ s(W_q + z) + s(b_q + z)), the per-parameter dequantization of
-    the deployed kernel, in real arithmetic; `x` is one beat or a batch,
-    summed per row. numpy casts the codes to floats inside each
+    Computes the pre-activation s * (x @ W_q + b_q + z * (sum(x) + 1)),
+    which equals x @ s(W_q + z) + s(b_q + z), the per-parameter
+    dequantization of the deployed kernel, in real arithmetic; `x` is one
+    beat or a batch, summed per row. numpy casts the codes to floats inside each
     operation; no float copy of the weights outlives the call.
     """
     acc = x @ w_q
@@ -148,11 +148,11 @@ def _temporary_layer(x, w_q, b_q, activation, q: QuantParams) -> np.ndarray:
     if q.zero_point:
         acc += q.zero_point * (x.sum(axis=-1, keepdims=True) + 1.0)
     acc *= q.scale
-    return _ACT_FN[activation](acc)
+    return acc
 
 
-def _per_parameter_layer(x, w_q, b_q, activation, q: QuantParams) -> np.ndarray:
-    """The deployed kernel's route: each parameter dequantized at its use."""
+def _per_parameter_layer(x, w_q, b_q, q: QuantParams) -> np.ndarray:
+    """The deployed kernel's affine map: each parameter dequantized at its use."""
     fan_in, fan_out = w_q.shape
     s, z = q.scale, q.zero_point
     result = np.zeros(fan_out)
@@ -161,7 +161,7 @@ def _per_parameter_layer(x, w_q, b_q, activation, q: QuantParams) -> np.ndarray:
         for k in range(fan_in):
             acc += x[k] * (s * (float(w_q[k, j]) + z))  # dequantized here, then dropped
         result[j] = acc + s * (float(b_q[j]) + z)
-    return _ACT_FN[activation](result)
+    return result
 
 
 def forward_temporary_dequantized(qmodel: QuantizedModel, beat) -> np.ndarray:

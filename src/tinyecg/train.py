@@ -1,7 +1,8 @@
 """Training: MSE loss, analytic backprop, Adam, plus compression ablations.
 
 Gradients are exact for all four activation pairings (the softmax path uses
-the full Jacobian, not the cross-entropy shortcut). One epoch takes one Adam
+the full Jacobian, not the cross-entropy shortcut) and read each layer's
+(z, a) from the inference walk, `nn.layers`. One epoch takes one Adam
 step, from one batched forward in `backward`, on a freshly shuffled batch;
 `full_pass=True` sweeps the whole training set in batch-size chunks instead.
 `fit` and `distill` draw their batches from the same schedule, `_epochs`.
@@ -20,8 +21,8 @@ import numpy as np
 from .ingest import BeatSet
 from .labels import CLASSES
 from .metrics import confusion, scores
-from .nn import _ACT_FN, INPUT_LEN, LAYER_SHAPES, OUTPUT_LEN, RELU, SIGMOID, VARIANTS
-from .nn import DenseModel, forward, glorot_init, softmax
+from .nn import INPUT_LEN, LAYER_SHAPES, OUTPUT_LEN, RELU, SIGMOID, SOFTMAX, VARIANTS
+from .nn import DenseModel, forward, glorot_init, layers, softmax
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -100,12 +101,8 @@ def mse_loss(predicted, target) -> float:
 
 
 def forward_batch(model: DenseModel, x: np.ndarray):
-    """Batched forward returning the pre-activations backprop needs: (z1, a1, z2, out)."""
-    act1, act2 = VARIANTS[model.variant]
-    z1 = x @ model.w1 + model.b1
-    a1 = _ACT_FN[act1](z1)
-    z2 = a1 @ model.w2 + model.b2
-    out = _ACT_FN[act2](z2)
+    """The walk `nn.layers` of a batch, flattened for backprop: (z1, a1, z2, out)."""
+    (z1, a1), (z2, out) = layers(model, x)
     return z1, a1, z2, out
 
 
@@ -147,8 +144,8 @@ def adam_step(
     grads: list[np.ndarray],
     state: AdamState,
     lr: float,
-) -> tuple[list[np.ndarray], AdamState]:
-    """In-place Adam update with bias correction; returns params and state."""
+) -> None:
+    """In-place Adam update with bias correction."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     correct1 = 1.0 - b1**state.t
@@ -159,7 +156,6 @@ def adam_step(
         v *= b2
         v += (1.0 - b2) * g * g
         p -= lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
-    return params, state
 
 
 def _epochs(n: int, config: TrainConfig, rng: np.random.Generator):
@@ -189,13 +185,12 @@ def fit(
     config: TrainConfig,
     init_model: DenseModel | None = None,
     freeze_mask: list[np.ndarray] | None = None,
-    zero_biases: bool = False,
 ) -> tuple[DenseModel, TrainTrace]:
     """Shuffled mini-batch Adam loop on the MSE gradient, deterministic per seed.
 
     `init_model` resumes from existing parameters (its variant wins over
-    `config.variant`); `freeze_mask` pins masked parameters at zero
-    (pruning support); `zero_biases` trains the weights-only ablation.
+    `config.variant`); `freeze_mask`, one boolean array per parameter,
+    pins masked parameters at zero (pruning and the weights-only ablation).
     """
     if len(train) == 0:
         raise ValueError("training set is empty")
@@ -210,12 +205,7 @@ def fit(
         model = copy.deepcopy(init_model)
     params = model.parameters
 
-    masks = [np.zeros_like(p, dtype=bool) for p in params]
-    if freeze_mask is not None:
-        masks = [m | f for m, f in zip(masks, freeze_mask)]
-    if zero_biases:
-        masks[1] |= True
-        masks[3] |= True
+    masks = freeze_mask or [np.zeros_like(p, dtype=bool) for p in params]
     for p, m in zip(params, masks):
         p[m] = 0.0
 
@@ -247,7 +237,9 @@ def fit_weights_only(
     train: BeatSet, test: BeatSet | None, config: TrainConfig
 ) -> tuple[DenseModel, TrainTrace]:
     """Train with biases pinned at exactly zero throughout."""
-    return fit(train, test, config, zero_biases=True)
+    biases = [m for shape in LAYER_SHAPES
+              for m in (np.zeros(shape, dtype=bool), np.ones(shape[1], dtype=bool))]
+    return fit(train, test, config, freeze_mask=biases)
 
 
 def prune_mask(model: DenseModel) -> list[np.ndarray]:
@@ -280,9 +272,9 @@ def distill_backward(
     student: DenseModel, x, soft_targets, hard_targets, temperature: float
 ) -> list[np.ndarray]:
     """Exact gradient of the distillation objective for one batch."""
-    z1, a1, z2, _ = forward_batch(student, x)
+    z1, a1, z2, out = forward_batch(student, x)
     p_soft = softmax(z2 / temperature)
-    p_hard = softmax(z2)
+    p_hard = out if VARIANTS[student.variant][1] == SOFTMAX else softmax(z2)
     n = x.shape[0]
     dz2 = (
         0.9 * (p_soft - soft_targets) / (temperature * n)
@@ -301,7 +293,7 @@ def distill(teacher: DenseModel, train: BeatSet, config: TrainConfig) -> DenseMo
     follow `fit`'s schedule, `config.full_pass` included; no caller sets
     it, so the student still takes one step per epoch.
     """
-    soft_targets = softmax(_logits(teacher, train.windows) / DISTILL_TEMPERATURE)
+    soft_targets = softmax(forward_batch(teacher, train.windows)[2] / DISTILL_TEMPERATURE)
     hard_targets = one_hot(train.labels)
     rng = np.random.default_rng(config.seed)
     shapes = [(INPUT_LEN, STUDENT_HIDDEN_LEN), (STUDENT_HIDDEN_LEN, OUTPUT_LEN)]
@@ -329,9 +321,3 @@ def distill_loss(
     kl = float(np.mean(np.sum(q * (np.log(q) - np.log(p_soft)), axis=-1)))
     ce = float(np.mean(-np.sum(y * np.log(p_hard), axis=-1)))
     return 0.9 * kl + 0.1 * ce
-
-
-def _logits(model: DenseModel, windows: np.ndarray) -> np.ndarray:
-    """Layer-2 pre-activations for a batch."""
-    _, a1, z2, _ = forward_batch(model, windows)
-    return z2

@@ -157,12 +157,12 @@ class TestSoftmax:
 
 class TestLayerForward:
     def test_zero_input_sigmoid(self):
-        assert dense(np.zeros(3), np.zeros((3, 2)), np.zeros(2), "sigmoid") == pytest.approx(
+        assert sigmoid(dense(np.zeros(3), np.zeros((3, 2)), np.zeros(2))) == pytest.approx(
             [0.5, 0.5]
         )
 
     def test_identity_relu(self):
-        out = dense(np.array([7.0]), np.array([[1.0]]), np.array([0.0]), "relu")
+        out = relu(dense(np.array([7.0]), np.array([[1.0]]), np.array([0.0])))
         assert out == pytest.approx([7.0])
 
     def test_hand_computed_2x2(self):
@@ -170,7 +170,7 @@ class TestLayerForward:
         #   z = [1-3+0.5, 2-4-0.5] = [-1.5, -2.5]
         w, b = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.5, -0.5])
         expected = [1 / (1 + math.exp(1.5)), 1 / (1 + math.exp(2.5))]
-        assert dense(np.array([1.0, -1.0]), w, b, "sigmoid") == pytest.approx(expected)
+        assert sigmoid(dense(np.array([1.0, -1.0]), w, b)) == pytest.approx(expected)
 
     def test_shape_mismatch_rejected(self):
         model = DenseModel(
@@ -199,16 +199,21 @@ class TestLayerForward:
     def test_walker_applies_the_variant_activations(self):
         # the variant alone names each layer's activation: a kernel that
         # records its calls sees them in layer order, with the live pairs
+        # and no activation, and the walker applies the variant's
+        # activation to what the kernel returns
         model = standard_model("relu-softmax", seed=3)
         seen = []
 
-        def kernel(x, w, b, activation, tag):
-            seen.append((w is model.w1 or w is model.w2,
-                         activation, tag))
-            return dense(x, w, b, activation)
+        def kernel(x, w, b, *args):
+            z = dense(x, w, b)
+            seen.append((w is model.w1 or w is model.w2, args, x, z))
+            return z
 
         out = forward(model, np.ones(61), kernel, "t")
-        assert seen == [(True, "relu", "t"), (True, "softmax", "t")]
+        assert [(live, args) for live, args, _, _ in seen] == [(True, ("t",)), (True, ("t",))]
+        (_, _, _, z1), (_, _, a1, z2) = seen
+        np.testing.assert_array_equal(a1, relu(z1))
+        np.testing.assert_array_equal(out, softmax(z2))
         np.testing.assert_array_equal(out, model_forward(model, np.ones(61)))
 
 

@@ -4,7 +4,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tinyecg.dsp import FilterSpec
-from tinyecg.nn import VARIANTS, forward, model_forward, predict_labels, standard_model
+from tinyecg.nn import (
+    VARIANTS,
+    dense,
+    forward,
+    layers,
+    model_forward,
+    predict_labels,
+    relu,
+    sigmoid,
+    softmax,
+    standard_model,
+)
 from tinyecg.qrs import RPeakDetector
 from tinyecg.quant import (
     BYTES_PER_SAMPLE,
@@ -12,6 +23,7 @@ from tinyecg.quant import (
     QuantParams,
     QuantizedModel,
     _per_parameter_layer,
+    _temporary_layer,
     compute_qparams,
     dequantize,
     dequantize_model,
@@ -272,16 +284,55 @@ class TestForwardTemporaryDequantized:
     def test_factored_kernel_matches_dequantized_values(self, variant, zero_point, seed):
         # rescaling once per output neuron, with the zero-point term
         # s*z*(sum(x) + 1), gives the per-parameter dequantized values,
-        # and so does the deployed per-parameter route
+        # and so does the deployed per-parameter route. The pre-activations
+        # are compared too, since a saturated sigmoid hides their
+        # differences in the outputs; they reach about 5e7 here, so their
+        # bound is relative.
         rng = np.random.default_rng(seed)
         qm = random_qmodel(rng, variant, zero_point)
         beat = rng.uniform(0, 2, 61)
-        expected = model_forward(dequantize_model(qm), beat)
+        dequantized = dequantize_model(qm)
+        expected = model_forward(dequantized, beat)
         for got in (
             forward_temporary_dequantized(qm, beat),
             forward(qm, beat, _per_parameter_layer, qm.qparams),
         ):
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+        for kernel in (_temporary_layer, _per_parameter_layer):
+            for (z, _), (z_ref, _) in zip(layers(qm, beat, kernel, qm.qparams),
+                                          layers(dequantized, beat)):
+                np.testing.assert_allclose(z, z_ref, rtol=1e-9, atol=1e-9)
+
+
+class TestWalkRecord:
+    @settings(deadline=None)
+    @given(
+        variant=st.sampled_from(sorted(VARIANTS)),
+        route=st.sampled_from(["float", "codes", "factored", "per-parameter"]),
+        zero_point=st.sampled_from([0, 254, -254]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_layer_is_its_activation_of_its_affine_map(
+        self, variant, route, zero_point, seed
+    ):
+        # the walk records (z, a) per layer in every inference route: a is
+        # the variant's activation of z, bit for bit, and the last a is
+        # what `forward` returns
+        rng = np.random.default_rng(seed)
+        qm = random_qmodel(rng, variant, zero_point)
+        model, kernel, args = {
+            "float": (dequantize_model(qm), dense, ()),
+            "codes": (qm, dense, ()),
+            "factored": (qm, _temporary_layer, (qm.qparams,)),
+            "per-parameter": (qm, _per_parameter_layer, (qm.qparams,)),
+        }[route]
+        beat = rng.uniform(0, 2, 61)
+        walk = layers(model, beat, kernel, *args)
+        assert len(walk) == 2
+        act = {"sigmoid": sigmoid, "relu": relu, "softmax": softmax}
+        for (z, a), activation in zip(walk, VARIANTS[variant]):
+            np.testing.assert_array_equal(a, act[activation](z))
+        np.testing.assert_array_equal(walk[-1][1], forward(model, beat, kernel, *args))
 
 
 def random_qmodel(rng, variant="sigmoid-sigmoid", zero_point=0) -> QuantizedModel:

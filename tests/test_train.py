@@ -22,7 +22,6 @@ from tinyecg.train import (
     one_hot,
     prune_and_retrain,
     prune_mask,
-    _logits,
 )
 
 
@@ -303,11 +302,13 @@ class TestDistillation:
         x = rng.normal(0, 1, (6, 5))
         y = one_hot(rng.integers(0, 4, 6))
         T = 10.0
-        soft = softmax(_logits(teacher, x) / T)
+        soft = softmax(forward_batch(teacher, x)[2] / T)
         analytic = distill_backward(student, x, soft, y, T)
 
         def loss():
-            return distill_loss(_logits(teacher, x), _logits(student, x), y, T)
+            return distill_loss(
+                forward_batch(teacher, x)[2], forward_batch(student, x)[2], y, T
+            )
 
         numeric = finite_difference_grads(loss, student.parameters, h=1e-5)
         assert max_relative_error(analytic, numeric) < 1e-4
