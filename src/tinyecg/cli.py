@@ -104,10 +104,8 @@ def cmd_quantize(args) -> int:
     kernel = quant.kernel_flops_report(qmodel.shapes, qp.zero_point)
     memory = quant.memory_report(qmodel)
     if args.json:
-        memory_fields = asdict(memory)
-        del memory_fields["layer_param_counts"]  # the text table's column only
         print(json.dumps({
-            "flops": asdict(flops), "kernel_flops": asdict(kernel), "memory": memory_fields,
+            "flops": asdict(flops), "kernel_flops": asdict(kernel), "memory": asdict(memory),
             "scale": qp.scale, "zero_point": qp.zero_point, "mode": qp.mode,
         }))
     else:

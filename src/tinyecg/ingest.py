@@ -114,7 +114,7 @@ class BeatSet:
 
 
 def _rows(path) -> list[tuple[int, str, str]]:
-    """Yield (line_number, first_field, second_field) skipping blanks/comments."""
+    """Return (line_number, first_field, second_field) per line, skipping blanks/comments."""
     path = Path(path)
     out = []
     with open(path, "r", encoding="utf-8", newline=None) as fh:

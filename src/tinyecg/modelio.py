@@ -3,11 +3,12 @@
 Float models:      magic TECG, variant tag, per-layer shape header,
                    row-major float64 parameters, CRC32.
 Quantized models:  magic TECQ, variant tag, quantization parameters
-                   (mode, scale, zero point, clip range), per-layer int8
-                   blobs, CRC32.
+                   (mode, scale, zero point, clip range), per-layer shape
+                   header, int8 parameters, CRC32.
 
 Both formats share one parameter codec: the same two layer headers
-(shape and activation) followed by W1, b1, W2, b2, as float64 or int8.
+(shape and activation) followed by the model's `flat` buffer (W1, b1,
+W2, b2 as `nn.unflatten` lays them out), as float64 or int8.
 Round trips are bit-exact; a trailing CRC32 guards against truncation
 and corruption. A CRC-valid file is still checked before any parameter
 is read: each stored activation must be the one the variant tag names
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nn import ACTIVATIONS, VARIANTS, DenseModel
+from .nn import ACTIVATIONS, VARIANTS, DenseModel, flat_size, unflatten
 from .quant import MODES, QuantParams, QuantizedModel
 
 MAGIC_FLOAT = b"TECG"
@@ -85,8 +86,8 @@ def _open_checked(path, magic: bytes) -> _Reader:
 
 
 def _read_params(rd: _Reader, dtype) -> list[np.ndarray]:
-    """W1, b1, W2, b2 as `dtype`, after checking the variant tag, the layer
-    count, each stored activation and that the layer widths agree."""
+    """W1, b1, W2, b2 as read-only `dtype` views of the file, after checking the
+    variant tag, the layer count, each stored activation and the layer widths."""
     if rd.variant not in VARIANTS:
         raise ChecksumError(f"{rd.path}: unknown variant tag {rd.variant!r}")
     (n_layers,) = rd.unpack("<B")
@@ -105,18 +106,12 @@ def _read_params(rd: _Reader, dtype) -> list[np.ndarray]:
     if hidden != fan_in:
         raise ChecksumError(f"{rd.path}: layer widths disagree: {hidden} vs {fan_in}")
     dtype = np.dtype(dtype)
-    params = []
-    for fan_in, fan_out in shapes:
-        w = np.frombuffer(rd.take(dtype.itemsize * fan_in * fan_out), dtype=dtype)
-        b = np.frombuffer(rd.take(dtype.itemsize * fan_out), dtype=dtype)
-        params += [w.reshape(fan_in, fan_out).copy(), b.copy()]
-    return params
+    blob = rd.take(dtype.itemsize * flat_size(shapes))
+    return unflatten(np.frombuffer(blob, dtype=dtype), shapes)
 
 
 def _save(model, path, header: bytes, dtype) -> None:
-    body = header + _pack_shapes(model)
-    for arr in model.parameters:
-        body += np.ascontiguousarray(arr, dtype=dtype).tobytes()
+    body = header + _pack_shapes(model) + model.flat.astype(dtype, copy=False).tobytes()
     Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 

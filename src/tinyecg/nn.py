@@ -4,7 +4,8 @@ The deployed topology is 61 -> 10 -> 4 with one activation per layer;
 four activation pairings are supported, and a model's variant tag alone
 names them (`VARIANTS`). One record, `TwoLayerModel`, holds the
 parameters W1, b1, W2, b2 and checks the variant and the shapes for both
-the float `DenseModel` and the int8 `quant.QuantizedModel`. Shapes are
+the float `DenseModel` and the int8 `quant.QuantizedModel`, as views of
+one buffer, `flat`, whose layout `unflatten` alone defines. Shapes are
 not hard-coded so the same code serves reduced test fixtures and the
 distilled 61 -> 4 -> 4 student. Outputs follow the fixed class order
 N, S, V, F.
@@ -19,7 +20,7 @@ layer's (z, a); `forward` keeps the last a. Batch labels
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -77,19 +78,40 @@ def softmax(z) -> np.ndarray:
 _ACT_FN = {SIGMOID: sigmoid, RELU: relu, SOFTMAX: softmax}
 
 
+def flat_size(shapes) -> int:
+    """Parameter count of layers `shapes`: per layer, W (fan_in, fan_out) and b (fan_out,)."""
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
+
+
+def unflatten(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of `flat` as [W1, b1, W2, b2], each row-major, back to back: the
+    parameter layout of every model and model file, defined here once."""
+    if flat.shape != (flat_size(shapes),):
+        raise ValueError(f"expected {flat_size(shapes)} parameters, got shape {flat.shape}")
+    views, start = [], 0
+    for fan_in, fan_out in shapes:
+        stop = start + fan_in * fan_out
+        views += [flat[start:stop].reshape(fan_in, fan_out), flat[stop : stop + fan_out]]
+        start = stop + fan_out
+    return views
+
+
 @dataclass
 class TwoLayerModel:
     """The two dense layers' parameters, float or int8: W1 (fan_in, hidden),
     b1 (hidden,), W2 (hidden, fan_out), b2 (fan_out,).
 
-    Subclasses add a `variant` field and set `dtype`; every array is
-    coerced to it, and the variant and shapes are checked here, once.
+    Subclasses add a `variant` field and set `dtype`. The arrays are coerced
+    to it and, with the variant, checked here once, then copied into a new
+    buffer, `flat`, whose views they become: write them in place, and copy a
+    model with `dataclasses.replace`; rebinding or `copy.deepcopy` parts them.
     """
 
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
+    flat: np.ndarray = field(init=False, repr=False)
 
     dtype: ClassVar[type] = np.float64
 
@@ -106,6 +128,8 @@ class TwoLayerModel:
         (_, hidden), (fan_in, _) = self.shapes
         if hidden != fan_in:
             raise ValueError(f"layer widths disagree: {hidden} vs {fan_in}")
+        self.flat = np.concatenate([p.ravel() for p in self.parameters])
+        self.w1, self.b1, self.w2, self.b2 = unflatten(self.flat, self.shapes)
 
     @property
     def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -123,7 +147,7 @@ class TwoLayerModel:
 
     @property
     def param_count(self) -> int:
-        return sum(p.size for p in self.parameters)
+        return self.flat.size
 
 
 @dataclass

@@ -4,7 +4,8 @@ One global scale/zero-point pair covers all 664 parameters. Symmetric
 mode clips to [-max|p|, +max|p|] so real zero lands exactly on integer
 code 0; asymmetric mode uses the raw [min, max] range. `QuantizedModel`
 holds the int8 codes in the float model's two-layer record
-(`nn.TwoLayerModel`), so both share its shape checks and parameter views.
+(`nn.TwoLayerModel`), so both share its shape checks and its one parameter
+buffer, `flat`, which (de)quantizing a model maps in one call.
 
 Every int8 inference, one beat or a batch, runs through `nn.forward`,
 the walk float models and training use too; only the layer kernel (the
@@ -31,7 +32,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .nn import DenseModel, TwoLayerModel, dense, forward
+from .nn import DenseModel, TwoLayerModel, dense, flat_size, forward, unflatten
 from .qrs import BUFFER_CAPACITY
 
 INT8_MIN = -127
@@ -86,14 +87,13 @@ class QuantizedModel(TwoLayerModel):
 
 def compute_qparams(model: DenseModel, mode: str = "symmetric") -> QuantParams:
     """Derive the single global scale/zero-point from a trained model."""
-    flat = np.concatenate([p.ravel() for p in model.parameters])
     if mode == "symmetric":
-        beta = float(np.max(np.abs(flat)))
+        beta = float(np.max(np.abs(model.flat)))
         if beta == 0.0:
             raise DegenerateRangeError("all parameters are zero")
         alpha = -beta
     elif mode == "asymmetric":
-        alpha, beta = float(np.min(flat)), float(np.max(flat))
+        alpha, beta = float(np.min(model.flat)), float(np.max(model.flat))
         if beta == alpha:
             raise DegenerateRangeError("parameter range is a single point")
     else:
@@ -124,14 +124,13 @@ def dequantize(x_q, q: QuantParams):
 
 def quantize_model(model: DenseModel, mode: str = "symmetric") -> QuantizedModel:
     q = compute_qparams(model, mode)
-    w1, b1, w2, b2 = (quantize(p, q) for p in model.parameters)
-    return QuantizedModel(w1, b1, w2, b2, q, model.variant)
+    return QuantizedModel(*unflatten(quantize(model.flat, q), model.shapes), q, model.variant)
 
 
 def dequantize_model(qmodel: QuantizedModel) -> DenseModel:
     """Materialize the whole model back to reals (the non-temporary route)."""
-    q = qmodel.qparams
-    return DenseModel(*(dequantize(p, q) for p in qmodel.parameters), qmodel.variant)
+    flat = dequantize(qmodel.flat, qmodel.qparams)
+    return DenseModel(*unflatten(flat, qmodel.shapes), qmodel.variant)
 
 
 def _temporary_layer(x, w_q, b_q, q: QuantParams) -> np.ndarray:
@@ -224,7 +223,6 @@ def kernel_flops_report(shapes, zero_point: int) -> FlopsReport:
 class MemoryReport:
     """SRAM accounting against the 2048-byte target budget."""
 
-    layer_param_counts: tuple[int, ...]
     model_param_bytes: int  # one byte per int8 parameter
     temp_dequant_bytes: int
     temp_dequant_bytes_actual: int
@@ -237,13 +235,11 @@ class MemoryReport:
 
 def memory_report_from_shapes(shapes) -> MemoryReport:
     """Book the int8 parameters, one temp value and the detector's sample buffer."""
-    layer_counts = tuple(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
-    param_bytes = sum(layer_counts)
+    param_bytes = flat_size(shapes)
     model_bytes = param_bytes + TEMP_DEQUANT_BYTES_REPORTED
     buffer_bytes = BUFFER_CAPACITY * BYTES_PER_SAMPLE
     total = model_bytes + buffer_bytes
     return MemoryReport(
-        layer_param_counts=layer_counts,
         model_param_bytes=param_bytes,
         temp_dequant_bytes=TEMP_DEQUANT_BYTES_REPORTED,
         temp_dequant_bytes_actual=TEMP_DEQUANT_BYTES_ACTUAL,
@@ -266,10 +262,8 @@ def format_cost_report(flops: FlopsReport, memory: MemoryReport, kernel: FlopsRe
     figures; `kernel` and the actual temp bytes stand beside them.
     """
     lines = [f"{'layer':<8}{'flops':>8}{'kernel flops':>14}{'param bytes':>14}"]
-    for i, ((_, _, fl), (_, _, kfl), count) in enumerate(
-        zip(flops.layers, kernel.layers, memory.layer_param_counts), 1
-    ):
-        lines.append(f"{i:<8}{fl:>8}{kfl:>14}{count:>14}")
+    for i, ((fan_in, fan_out, fl), (_, _, kfl)) in enumerate(zip(flops.layers, kernel.layers), 1):
+        lines.append(f"{i:<8}{fl:>8}{kfl:>14}{fan_in * fan_out + fan_out:>14}")
     lines.append(
         f"{'total':<8}{flops.total:>8}{kernel.total:>14}{memory.model_param_bytes:>14}"
     )

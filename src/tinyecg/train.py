@@ -6,11 +6,12 @@ the full Jacobian, not the cross-entropy shortcut) and read each layer's
 step, from one batched forward in `backward`, on a freshly shuffled batch;
 `full_pass=True` sweeps the whole training set in batch-size chunks instead.
 `fit` and `distill` draw their batches from the same schedule, `_epochs`.
+A gradient, the Adam moments and a freeze or prune mask each span the
+model's one parameter buffer, `model.flat`, so each is one array op.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import math
 import warnings
@@ -22,7 +23,7 @@ from .ingest import BeatSet
 from .labels import CLASSES
 from .metrics import confusion, scores
 from .nn import INPUT_LEN, LAYER_SHAPES, OUTPUT_LEN, RELU, SIGMOID, SOFTMAX, VARIANTS
-from .nn import DenseModel, forward, glorot_init, layers, softmax
+from .nn import DenseModel, flat_size, forward, glorot_init, layers, softmax, unflatten
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -57,18 +58,15 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per parameter array."""
+    """First/second moment accumulators, each shaped like the flat parameters."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
+    def for_params(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 @dataclass
@@ -117,19 +115,20 @@ def _activation_backward(activation: str, grad_out, z, out) -> np.ndarray:
     return out * (grad_out - dot[:, None])
 
 
-def _grads_from_dz2(model, x, a1, z1, dz2) -> list[np.ndarray]:
+def _grads_from_dz2(model, x, a1, z1, dz2) -> np.ndarray:
     act1, _ = VARIANTS[model.variant]
-    g_w2 = a1.T @ dz2
-    g_b2 = dz2.sum(axis=0)
-    da1 = dz2 @ model.w2.T
-    dz1 = _activation_backward(act1, da1, z1, a1)
-    g_w1 = x.T @ dz1
-    g_b1 = dz1.sum(axis=0)
-    return [g_w1, g_b1, g_w2, g_b2]
+    grads = np.empty_like(model.flat)
+    g_w1, g_b1, g_w2, g_b2 = unflatten(grads, model.shapes)
+    np.matmul(a1.T, dz2, out=g_w2)
+    dz2.sum(axis=0, out=g_b2)
+    dz1 = _activation_backward(act1, dz2 @ model.w2.T, z1, a1)
+    np.matmul(x.T, dz1, out=g_w1)
+    dz1.sum(axis=0, out=g_b1)
+    return grads
 
 
-def backward(model: DenseModel, x, target) -> tuple[float, list[np.ndarray]]:
-    """mse_loss and its exact gradient w.r.t. [W1, b1, W2, b2], from one forward."""
+def backward(model: DenseModel, x, target) -> tuple[float, np.ndarray]:
+    """mse_loss and its exact gradient w.r.t. `model.flat`, from one forward."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
     z1, a1, z2, out = forward_batch(model, x)
@@ -139,23 +138,18 @@ def backward(model: DenseModel, x, target) -> tuple[float, list[np.ndarray]]:
     return mse_loss(out, target), _grads_from_dz2(model, x, a1, z1, dz2)
 
 
-def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-    lr: float,
-) -> None:
-    """In-place Adam update with bias correction."""
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
+    """In-place Adam update with bias correction, one pass over the flat parameters."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     correct1 = 1.0 - b1**state.t
     correct2 = 1.0 - b2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * grads * grads
+    params -= lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
 
 
 def _epochs(n: int, config: TrainConfig, rng: np.random.Generator):
@@ -184,12 +178,12 @@ def fit(
     test: BeatSet | None,
     config: TrainConfig,
     init_model: DenseModel | None = None,
-    freeze_mask: list[np.ndarray] | None = None,
+    freeze_mask: np.ndarray | None = None,
 ) -> tuple[DenseModel, TrainTrace]:
     """Shuffled mini-batch Adam loop on the MSE gradient, deterministic per seed.
 
-    `init_model` resumes from existing parameters (its variant wins over
-    `config.variant`); `freeze_mask`, one boolean array per parameter,
+    `init_model` resumes from a copy of existing parameters (its variant wins
+    over `config.variant`); `freeze_mask`, one boolean array over `model.flat`,
     pins masked parameters at zero (pruning and the weights-only ablation).
     """
     if len(train) == 0:
@@ -199,22 +193,17 @@ def fit(
         warnings.warn(f"training set has no beats for class(es): {', '.join(missing)}")
 
     rng = np.random.default_rng(config.seed)
-    if init_model is None:
-        model = glorot_init(LAYER_SHAPES, config.variant, rng)
-    else:
-        model = copy.deepcopy(init_model)
-    params = model.parameters
-
-    masks = freeze_mask or [np.zeros_like(p, dtype=bool) for p in params]
-    for p, m in zip(params, masks):
-        p[m] = 0.0
+    model = (glorot_init(LAYER_SHAPES, config.variant, rng) if init_model is None
+             else replace(init_model))
+    mask = np.zeros(model.flat.shape, dtype=bool) if freeze_mask is None else freeze_mask
+    model.flat[mask] = 0.0
 
     targets = one_hot(train.labels)
-    state = AdamState.for_params(params)
+    state = AdamState.for_params(model.flat)
     losses = np.empty(config.epochs)
     for epoch, batches in enumerate(_epochs(len(train), config, rng)):
         losses[epoch] = np.mean(
-            [_step(model, params, masks, train, targets, idx, state, config) for idx in batches]
+            [_step(model, mask, train, targets, idx, state, config) for idx in batches]
         )
 
     trace = TrainTrace(losses)
@@ -224,12 +213,11 @@ def fit(
     return model, trace
 
 
-def _step(model, params, masks, train, targets, idx, state, config) -> float:
+def _step(model, mask, train, targets, idx, state, config) -> float:
     x, y = train.windows.take(idx, axis=0), targets.take(idx, axis=0)
     loss, grads = backward(model, x, y)
-    adam_step(params, grads, state, config.learning_rate)
-    for p, m in zip(params, masks):
-        p[m] = 0.0
+    adam_step(model.flat, grads, state, config.learning_rate)
+    model.flat[mask] = 0.0
     return loss
 
 
@@ -237,18 +225,22 @@ def fit_weights_only(
     train: BeatSet, test: BeatSet | None, config: TrainConfig
 ) -> tuple[DenseModel, TrainTrace]:
     """Train with biases pinned at exactly zero throughout."""
-    biases = [m for shape in LAYER_SHAPES
-              for m in (np.zeros(shape, dtype=bool), np.ones(shape[1], dtype=bool))]
+    biases = np.zeros(flat_size(LAYER_SHAPES), dtype=bool)
+    _, b1, _, b2 = unflatten(biases, LAYER_SHAPES)
+    b1[:] = b2[:] = True
     return fit(train, test, config, freeze_mask=biases)
 
 
-def prune_mask(model: DenseModel) -> list[np.ndarray]:
-    """True where |value| falls below its group's median absolute value.
+def prune_mask(model: DenseModel) -> np.ndarray:
+    """True over `model.flat` where |value| falls below its group's median.
 
     Groups are per layer and per parameter type (weights and biases
     separately), so a large bias cannot shield small weights.
     """
-    return [np.abs(p) < np.percentile(np.abs(p), 50) for p in model.parameters]
+    mask = np.empty(model.flat.shape, dtype=bool)
+    for p, m in zip(model.parameters, unflatten(mask, model.shapes)):
+        np.less(np.abs(p), np.percentile(np.abs(p), 50), out=m)
+    return mask
 
 
 def prune_and_retrain(
@@ -257,21 +249,18 @@ def prune_and_retrain(
     """Zero the bottom half of each parameter group, then retrain at lr/100.
 
     Pruned positions stay exactly zero through retraining; pruning is not
-    iterated.
+    iterated. `fit` zeroes them in its own copy of `model`.
     """
     mask = prune_mask(model)
-    pruned = copy.deepcopy(model)
-    for p, m in zip(pruned.parameters, mask):
-        p[m] = 0.0
     retrain_config = replace(config, learning_rate=config.learning_rate / 100.0)
-    retrained, _ = fit(train, None, retrain_config, init_model=pruned, freeze_mask=mask)
+    retrained, _ = fit(train, None, retrain_config, init_model=model, freeze_mask=mask)
     return retrained
 
 
 def distill_backward(
     student: DenseModel, x, soft_targets, hard_targets, temperature: float
-) -> list[np.ndarray]:
-    """Exact gradient of the distillation objective for one batch."""
+) -> np.ndarray:
+    """Exact gradient of the distillation objective w.r.t. `student.flat`, for one batch."""
     z1, a1, z2, out = forward_batch(student, x)
     p_soft = softmax(z2 / temperature)
     p_hard = out if VARIANTS[student.variant][1] == SOFTMAX else softmax(z2)
@@ -298,15 +287,14 @@ def distill(teacher: DenseModel, train: BeatSet, config: TrainConfig) -> DenseMo
     rng = np.random.default_rng(config.seed)
     shapes = [(INPUT_LEN, STUDENT_HIDDEN_LEN), (STUDENT_HIDDEN_LEN, OUTPUT_LEN)]
     student = glorot_init(shapes, teacher.variant, rng)
-    params = student.parameters
-    state = AdamState.for_params(params)
+    state = AdamState.for_params(student.flat)
     for batches in _epochs(len(train), config, rng):
         for idx in batches:
             grads = distill_backward(
                 student, train.windows[idx], soft_targets[idx], hard_targets[idx],
                 DISTILL_TEMPERATURE,
             )
-            adam_step(params, grads, state, config.learning_rate)
+            adam_step(student.flat, grads, state, config.learning_rate)
     return student
 
 

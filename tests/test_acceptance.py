@@ -15,7 +15,7 @@ import pytest
 
 from tinyecg.ingest import BeatSet, split
 from tinyecg.metrics import ConfusionMatrix, confusion, scores
-from tinyecg.nn import VARIANTS, glorot_init, model_forward
+from tinyecg.nn import VARIANTS, glorot_init, model_forward, unflatten
 from tinyecg.quant import (
     QuantParams,
     QuantizedModel,
@@ -139,7 +139,7 @@ def test_criterion_4_gradient_correctness():
             x = rng.normal(0, 1, (8, 5))
             y = one_hot(rng.integers(0, 4, 8))
             _, analytic = backward(model, x, y)
-            for p, g in zip(model.parameters, analytic):
+            for p, g in zip(model.parameters, unflatten(analytic, model.shapes)):
                 it = np.nditer(p, flags=["multi_index"])
                 for _ in it:
                     i = it.multi_index
@@ -239,7 +239,7 @@ def test_criterion_9_compression_ablations_structure():
         mask = prune_mask(base)
         halves_ok = all(
             (p.size - int(m.sum())) == int(np.ceil(p.size / 2))
-            for p, m in zip(base.parameters, mask)
+            for p, m in zip(base.parameters, unflatten(mask, base.shapes))
         )
 
         student = distill(base, beats, TrainConfig(epochs=50, seed=3))

@@ -184,6 +184,26 @@ class TestQuantFormat:
             load_qmodel(path)
 
 
+    def test_in_place_code_flip_changes_one_parameter_byte(self, qmodel, tmp_path):
+        # negate the largest output-layer code through the loaded model's
+        # w2 view, then re-save: only that byte and the CRC may change
+        save_qmodel(qmodel, tmp_path / "q.tnq")
+        loaded = load_qmodel(tmp_path / "q.tnq")
+        k = np.unravel_index(np.argmax(np.abs(loaded.w2)), loaded.w2.shape)
+        loaded.w2[k] = -loaded.w2[k]
+        save_qmodel(loaded, tmp_path / "flipped.tnq")
+        old = (tmp_path / "q.tnq").read_bytes()
+        new = (tmp_path / "flipped.tnq").read_bytes()
+        assert len(new) == len(old)
+        w2_start = len(old) - 4 - loaded.param_count + loaded.w1.size + loaded.b1.size
+        code = w2_start + np.ravel_multi_index(k, loaded.w2.shape)
+        changed = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
+        assert [i for i in changed if i < len(old) - 4] == [code]
+        assert old[-4:] != new[-4:]
+        assert np.frombuffer(new, np.int8)[code] == -np.frombuffer(old, np.int8)[code]
+        assert load_qmodel(tmp_path / "flipped.tnq").w2[k] == loaded.w2[k]
+
+
 class TestLoadAny:
     def test_dispatch_on_magic(self, model, qmodel, tmp_path):
         from tinyecg.nn import DenseModel

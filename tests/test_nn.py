@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from tinyecg.labels import CLASSES
+from tinyecg.modelio import load_model, load_qmodel, save_model, save_qmodel
 from tinyecg.nn import (
+    LAYER_SHAPES,
     VARIANTS,
     DenseModel,
     dense,
+    flat_size,
     forward,
     glorot_init,
     model_forward,
@@ -19,7 +22,11 @@ from tinyecg.nn import (
     sigmoid,
     softmax,
     standard_model,
+    unflatten,
 )
+from tinyecg.quant import dequantize_model, quantize_model
+from tinyecg.synthetic import separable_beatset
+from tinyecg.train import TrainConfig, distill, fit, prune_and_retrain
 
 finite_vectors = st.lists(
     st.floats(-50, 50, allow_nan=False), min_size=1, max_size=10
@@ -238,6 +245,64 @@ class TestDenseModel:
                 np.zeros((2, 2)), np.zeros(2),
                 "relu-sigmoid",
             )
+
+
+def _saved_and_loaded(model, tmp_path, save, load):
+    save(model, tmp_path / "model.bin")
+    return load(tmp_path / "model.bin")
+
+
+TINY_CONFIG = TrainConfig(epochs=3, seed=0)
+# every way a model is made, from a trained 61-10-4 `m` and a small beat set
+CONSTRUCTION_ROUTES = {
+    "DenseModel": lambda m, beats, tmp: DenseModel(m.w1, m.b1, m.w2, m.b2, m.variant),
+    "glorot_init": lambda m, beats, tmp: glorot_init(LAYER_SHAPES, m.variant,
+                                                     np.random.default_rng(1)),
+    "quantize_model": lambda m, beats, tmp: quantize_model(m),
+    "dequantize_model": lambda m, beats, tmp: dequantize_model(quantize_model(m)),
+    "load_model": lambda m, beats, tmp: _saved_and_loaded(m, tmp, save_model, load_model),
+    "load_qmodel": lambda m, beats, tmp: _saved_and_loaded(
+        quantize_model(m), tmp, save_qmodel, load_qmodel),
+    "fit": lambda m, beats, tmp: fit(beats, None, TINY_CONFIG, init_model=m)[0],
+    "prune_and_retrain": lambda m, beats, tmp: prune_and_retrain(m, beats, TINY_CONFIG),
+    "distill": lambda m, beats, tmp: distill(m, beats, TINY_CONFIG),
+}
+
+
+class TestFlatBuffer:
+    def test_unflatten_lays_out_each_array_row_major_in_file_order(self):
+        shapes = [(3, 2), (2, 4)]
+        flat = np.arange(flat_size(shapes), dtype=np.float64)
+        w1, b1, w2, b2 = unflatten(flat, shapes)
+        np.testing.assert_array_equal(w1, [[0, 1], [2, 3], [4, 5]])
+        np.testing.assert_array_equal(b1, [6, 7])
+        np.testing.assert_array_equal(w2, np.arange(8, 16).reshape(2, 4))
+        np.testing.assert_array_equal(b2, [16, 17, 18, 19])
+        for view in (w1, b1, w2, b2):
+            assert np.shares_memory(view, flat)
+
+    @pytest.mark.parametrize("size", [663, 665])
+    def test_unflatten_rejects_a_wrong_length(self, size):
+        with pytest.raises(ValueError, match="expected 664 parameters"):
+            unflatten(np.zeros(size), LAYER_SHAPES)
+
+    @pytest.mark.parametrize("route", CONSTRUCTION_ROUTES)
+    def test_fields_are_views_of_an_owned_writable_flat(self, route, tmp_path):
+        # a deepcopy parts each field from the buffer, and an uncopied
+        # frombuffer leaves it read-only; both fail here
+        beats = separable_beatset(per_class=10, seed=0)
+        m, _ = fit(beats, None, TrainConfig(epochs=5, variant="relu-softmax", seed=0))
+        before = m.flat.tobytes()
+        model = CONSTRUCTION_ROUTES[route](m, beats, tmp_path)
+        assert model.flat.flags.writeable and model.flat.flags.c_contiguous
+        assert model.flat.shape == (model.param_count,)
+        for field in (model.w1, model.b1, model.w2, model.b2):
+            assert np.shares_memory(field, model.flat)
+        assert not np.shares_memory(model.flat, m.flat)
+        assert m.flat.tobytes() == before
+        # a write through a field is a write to the buffer
+        model.w2[0, 0] += 1
+        assert model.flat[model.w1.size + model.b1.size] == model.w2[0, 0]
 
 
 class TestModelForward:

@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 import tinyecg.train as train_module
 from tinyecg.ingest import BeatSet
-from tinyecg.nn import VARIANTS, glorot_init, model_forward, softmax, standard_model
+from tinyecg.nn import VARIANTS, glorot_init, model_forward, softmax, standard_model, unflatten
 from tinyecg.synthetic import separable_beatset
 from tinyecg.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     TrainConfig,
     adam_step,
@@ -111,7 +114,7 @@ class TestBackward:
         loss, analytic = backward(model, x, y)
         assert loss == loss_of(model, x, y)
         numeric = finite_difference_grads(lambda: loss_of(model, x, y), model.parameters)
-        assert max_relative_error(analytic, numeric) < 1e-4
+        assert max_relative_error(unflatten(analytic, model.shapes), numeric) < 1e-4
 
     def test_zero_model_symmetric_batch_closed_form(self):
         # all params zero, sigmoid-sigmoid: every output is 0.5 and the
@@ -124,7 +127,8 @@ class TestBackward:
             p[...] = 0.0
         x = np.random.default_rng(0).uniform(0, 1, (4, 61))
         y = one_hot(np.array([0, 1, 2, 3]))
-        _, (g_w1, g_b1, g_w2, g_b2) = backward(model, x, y)
+        _, grads = backward(model, x, y)
+        g_w1, g_b1, g_w2, g_b2 = unflatten(grads, model.shapes)
         assert g_b2 == pytest.approx(np.full(4, 1 / 32))
         assert g_w2 == pytest.approx(np.full((10, 4), 1 / 64))
         assert g_w1 == pytest.approx(np.zeros((61, 10)), abs=1e-15)
@@ -135,37 +139,79 @@ class TestBackward:
         x = rng.uniform(0.1, 1, (5, 3))
         y = forward_batch(model, x)[3]  # targets := model outputs
         _, grads = backward(model, x, y)
-        assert max(float(np.max(np.abs(g))) for g in grads) < 1e-8
+        assert float(np.max(np.abs(grads))) < 1e-8
+
+
+def reference_adam_step(params, grads, m_list, v_list, t, lr):
+    """Per-array Adam, one parameter array at a time: the bit-level oracle
+    for the flat `adam_step` (same ops, same association, per element)."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    correct1 = 1.0 - b1**t
+    correct2 = 1.0 - b2**t
+    for p, g, m, v in zip(params, grads, m_list, v_list):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
 
 
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
-        params = [np.array([1.0, -2.0]), np.array([[3.0]])]
+        params = np.array([1.0, -2.0, 3.0])
         state = AdamState.for_params(params)
-        before = [p.copy() for p in params]
-        adam_step(params, [np.zeros(2), np.zeros((1, 1))], state, lr=0.1)
-        for p, b in zip(params, before):
-            np.testing.assert_array_equal(p, b)
+        before = params.copy()
+        adam_step(params, np.zeros(3), state, lr=0.1)
+        np.testing.assert_array_equal(params, before)
         assert state.t == 1
 
     def test_first_step_is_signed_lr(self):
         # t=1: m_hat = g, v_hat = g^2, update = -lr * g / (|g| + eps)
         g = np.array([0.3, -7.0, 0.001])
-        params = [np.zeros(3)]
+        params = np.zeros(3)
         state = AdamState.for_params(params)
-        adam_step(params, [g.copy()], state, lr=0.01)
-        np.testing.assert_allclose(params[0], -0.01 * np.sign(g), rtol=1e-4)
+        adam_step(params, g.copy(), state, lr=0.01)
+        np.testing.assert_allclose(params, -0.01 * np.sign(g), rtol=1e-4)
 
     def test_constant_gradient_step_approaches_lr(self):
         g = np.array([2.5])
-        params = [np.zeros(1)]
+        params = np.zeros(1)
         state = AdamState.for_params(params)
-        prev = params[0].copy()
+        prev = params.copy()
         for _ in range(500):
-            prev = params[0].copy()
-            adam_step(params, [g.copy()], state, lr=0.01)
-        step = abs(float(params[0][0] - prev[0]))
+            prev = params.copy()
+            adam_step(params, g.copy(), state, lr=0.01)
+        step = abs(float(params[0] - prev[0]))
         assert step == pytest.approx(0.01, rel=1e-3)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        widths=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)),
+        steps=st.integers(1, 60),
+        lr=st.floats(1e-5, 1.0),
+        scale=st.floats(1e-6, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_flat_step_is_bit_equal_to_per_array_steps(self, widths, steps, lr, scale, seed):
+        # one flat pass over the model's buffer against the per-array loop
+        # on the same views' copies: parameters and moments agree bit for bit
+        fan_in, hidden, fan_out = widths
+        rng = np.random.default_rng(seed)
+        model = glorot_init([(fan_in, hidden), (hidden, fan_out)], "relu-sigmoid", rng)
+        state = AdamState.for_params(model.flat)
+        ref_params = [p.copy() for p in model.parameters]
+        ref_m = [np.zeros_like(p) for p in ref_params]
+        ref_v = [np.zeros_like(p) for p in ref_params]
+        for t in range(1, steps + 1):
+            grads = scale * rng.standard_normal(model.flat.size)
+            adam_step(model.flat, grads, state, lr)
+            reference_adam_step(ref_params, unflatten(grads, model.shapes), ref_m, ref_v, t, lr)
+        for got, want in ((model.parameters, ref_params),
+                          (unflatten(state.m, model.shapes), ref_m),
+                          (unflatten(state.v, model.shapes), ref_v)):
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+        assert state.t == steps
 
 
 @pytest.fixture(scope="module")
@@ -245,13 +291,13 @@ class TestPruning:
         model.b2[:] = [1.0, -2.0, 3.0, -4.0]
         mask = prune_mask(model)
         pruned = model.b2.copy()
-        pruned[mask[3]] = 0.0
+        pruned[unflatten(mask, model.shapes)[3]] = 0.0
         assert pruned == pytest.approx([0.0, 0.0, 3.0, -4.0])
 
     def test_prunes_half_of_each_group(self, toy_beats):
         model, _ = fit(toy_beats, None, TrainConfig(epochs=30, seed=2))
         mask = prune_mask(model)
-        for p, m in zip(model.parameters, mask):
+        for p, m in zip(model.parameters, unflatten(mask, model.shapes)):
             kept = p.size - int(m.sum())
             assert kept == int(np.ceil(p.size / 2))
 
@@ -260,7 +306,7 @@ class TestPruning:
         model, _ = fit(toy_beats, None, config)
         mask = prune_mask(model)
         retrained = prune_and_retrain(model, toy_beats, config)
-        for p, m in zip(retrained.parameters, mask):
+        for p, m in zip(retrained.parameters, unflatten(mask, model.shapes)):
             assert (p[m] == 0.0).all()
             assert (p[~m] != 0.0).any()
 
@@ -311,7 +357,7 @@ class TestDistillation:
             )
 
         numeric = finite_difference_grads(loss, student.parameters, h=1e-5)
-        assert max_relative_error(analytic, numeric) < 1e-4
+        assert max_relative_error(unflatten(analytic, student.shapes), numeric) < 1e-4
 
     def test_student_learns_separable_set(self, toy_beats):
         teacher, _ = fit(
