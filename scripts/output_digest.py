@@ -30,7 +30,7 @@ import numpy as np
 from tinyecg import cli, modelio, quant
 from tinyecg.dsp import FilterSpec, bandpass_coefficients
 from tinyecg.ingest import extract_beats, load_annotations, load_signal, split
-from tinyecg.nn import VARIANTS, model_forward, predict_labels, sigmoid, softmax
+from tinyecg.nn import VARIANTS, forward, predict_labels, sigmoid, softmax
 from tinyecg.qrs import RPeakDetector, WindowLostError, emit_window
 from tinyecg.synthetic import labeled_recording, write_annotation_csv, write_signal_csv
 from tinyecg.train import (
@@ -153,8 +153,9 @@ def lines(epochs: int, work: Path):
             *fit_weights_only(train_set, test_set, config))
 
         yield f"forward_batch.{variant}", digest(*forward_batch(model, windows))
-        yield f"model_forward.{variant}", digest(*(model_forward(model, w) for w in windows))
-        yield f"model_forward.batch.{variant}", digest(model_forward(model, windows))
+        # line names stay fixed so that a diff against older checkouts lines up
+        yield f"model_forward.{variant}", digest(*(forward(model, w) for w in windows))
+        yield f"model_forward.batch.{variant}", digest(forward(model, windows))
         yield f"predict_labels.{variant}", digest(predict_labels(model, windows))
         model_path = work / f"{variant}.tnm"
         modelio.save_model(model, model_path)

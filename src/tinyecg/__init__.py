@@ -20,7 +20,7 @@ from .ingest import (
 from .labels import CLASSES
 from .metrics import confusion, scores
 from .modelio import load_any, load_model, load_qmodel, save_model, save_qmodel
-from .nn import DenseModel, model_forward, predict, standard_model
+from .nn import DenseModel, forward, predict_labels, standard_model
 from .qrs import RPeakDetector, StreamBuffer, emit_window
 from .quant import (
     QuantizedModel,

@@ -14,8 +14,8 @@ Every forward, float or int8, inference or training, on one beat
 `(fan_in,)` or a batch `(n, fan_in)`, runs through one walk, `layers`: it
 checks the input's shape once, then per layer runs a kernel's affine map
 (`dense` is the float one) and the variant's activation, and returns each
-layer's (z, a); `forward` keeps the last a. Batch labels
-(`predict_labels`) are still walked one beat at a time.
+layer's (z, a); `forward` keeps the last a. `predict_labels`, the one label
+loop, float or int8, still walks a batch one beat at a time.
 """
 
 from __future__ import annotations
@@ -96,6 +96,9 @@ def unflatten(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
+_BUFFER_FIELDS = ("w1", "b1", "w2", "b2", "flat")
+
+
 @dataclass
 class TwoLayerModel:
     """The two dense layers' parameters, float or int8: W1 (fan_in, hidden),
@@ -104,7 +107,8 @@ class TwoLayerModel:
     Subclasses add a `variant` field and set `dtype`. The arrays are coerced
     to it and, with the variant, checked here once, then copied into a new
     buffer, `flat`, whose views they become: write them in place, and copy a
-    model with `dataclasses.replace`; rebinding or `copy.deepcopy` parts them.
+    model with `dataclasses.replace` (`copy.deepcopy` parts them). Once `flat`
+    exists, rebinding it or a view to another object raises.
     """
 
     w1: np.ndarray
@@ -128,8 +132,15 @@ class TwoLayerModel:
         (_, hidden), (fan_in, _) = self.shapes
         if hidden != fan_in:
             raise ValueError(f"layer widths disagree: {hidden} vs {fan_in}")
-        self.flat = np.concatenate([p.ravel() for p in self.parameters])
-        self.w1, self.b1, self.w2, self.b2 = unflatten(self.flat, self.shapes)
+        flat = np.concatenate([p.ravel() for p in self.parameters])
+        self.w1, self.b1, self.w2, self.b2 = unflatten(flat, self.shapes)
+        self.flat = flat
+
+    def __setattr__(self, name, value):
+        # `m.w1 *= 30` rebinds w1 to itself; only another object would part it from flat
+        if name in _BUFFER_FIELDS and "flat" in vars(self) and value is not getattr(self, name):
+            raise AttributeError(f"{name} is a view of the model's flat buffer; write it in place")
+        super().__setattr__(name, value)
 
     @property
     def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -203,19 +214,8 @@ def forward(model, beat, kernel=dense, *args) -> np.ndarray:
     return layers(model, beat, kernel, *args)[-1][1]
 
 
-def model_forward(model: DenseModel, beat) -> np.ndarray:
-    """Forward one beat window; returns one score per class in N,S,V,F order."""
-    return forward(model, beat)
-
-
-def predict(model: DenseModel, beat) -> str:
-    """Argmax class label; ties resolve to the lowest class index."""
-    return CLASSES[int(np.argmax(model_forward(model, beat)))]
-
-
-def predict_labels(model: DenseModel, windows) -> np.ndarray:
-    """Predicted class codes for an array of beat windows, one forward each."""
+def predict_labels(model, windows, kernel=dense, *args) -> np.ndarray:
+    """Predicted class codes for an array of beat windows, one `forward` each,
+    float or int8 as `layers`; ties resolve to the lowest class index."""
     windows = np.asarray(windows, dtype=np.float64)
-    return np.array(
-        [int(np.argmax(model_forward(model, w))) for w in windows], dtype=np.int64
-    )
+    return np.array([np.argmax(forward(model, w, kernel, *args)) for w in windows], np.int64)

@@ -18,8 +18,9 @@ int8 codes instead and rescales once per output neuron (Jacob et al.
 x @ s(W_q + z) + s(b_q + z) = s(x @ W_q + b_q + z(sum(x) + 1)), so the
 two routes are equal in real arithmetic and differ only in rounding.
 The live stream takes the factored kernel; batch eval
-(`predict_labels_quantized`) replays the deployed per-parameter route,
-`_per_parameter_layer`, one beat at a time. `forward_quantized_only`
+(`predict_labels_quantized`) hands the deployed per-parameter route,
+`_per_parameter_layer`, to the one label loop, `nn.predict_labels`,
+which walks one beat at a time. `forward_quantized_only`
 instead feeds the raw integer codes to the float kernel `nn.dense`, the
 cheapest (and least accurate) deployment mode.
 """
@@ -32,7 +33,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .nn import DenseModel, TwoLayerModel, dense, flat_size, forward, unflatten
+from .nn import DenseModel, TwoLayerModel, dense, flat_size, forward, predict_labels, unflatten
 from .qrs import BUFFER_CAPACITY
 
 INT8_MIN = -127
@@ -177,17 +178,13 @@ def forward_quantized_only(qmodel: QuantizedModel, beat) -> np.ndarray:
 def predict_labels_quantized(
     qmodel: QuantizedModel, windows, temporary: bool = True
 ) -> np.ndarray:
-    """Predicted class codes for an array of windows, one forward each.
+    """Predicted class codes for an array of windows, from `nn.predict_labels`.
 
     `temporary` runs the deployed kernel's per-parameter route; the live
     stream calls the factored `forward_temporary_dequantized` per beat.
     """
     kernel, args = (_per_parameter_layer, (qmodel.qparams,)) if temporary else (dense, ())
-    return np.array(
-        [int(np.argmax(forward(qmodel, w, kernel, *args)))
-         for w in np.asarray(windows, dtype=np.float64)],
-        dtype=np.int64,
-    )
+    return predict_labels(qmodel, windows, kernel, *args)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ the full Jacobian, not the cross-entropy shortcut) and read each layer's
 (z, a) from the inference walk, `nn.layers`. One epoch takes one Adam
 step, from one batched forward in `backward`, on a freshly shuffled batch;
 `full_pass=True` sweeps the whole training set in batch-size chunks instead.
-`fit` and `distill` draw their batches from the same schedule, `_epochs`.
+One loop, `_descend`, owns that schedule, the Adam state and the freeze mask;
+`fit` and `distill` each hand it a `grad_fn(idx) -> (loss, grads)`.
 A gradient, the Adam moments and a freeze or prune mask each span the
 model's one parameter buffer, `model.flat`, so each is one array op.
 """
@@ -152,19 +153,28 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
     params -= lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
 
 
-def _epochs(n: int, config: TrainConfig, rng: np.random.Generator):
-    """Yield each epoch's index batches over `n` samples, freshly shuffled.
+def _descend(model: DenseModel, grad_fn, n: int, config: TrainConfig,
+             rng: np.random.Generator, mask: np.ndarray | None = None) -> np.ndarray:
+    """Adam on `model.flat` over `n` samples; returns each epoch's mean loss.
 
-    One batch of `config.batch_size` per epoch, or, with `full_pass`, the
-    whole shuffled set in batch-size chunks.
+    Per epoch, one shuffled batch of `config.batch_size`, or with `full_pass` the
+    whole shuffled set in batch-size chunks; `grad_fn(idx) -> (loss, grads)` scores
+    one batch, and `mask` positions are re-zeroed after every step.
     """
     batch = min(config.batch_size, n)
-    for _ in range(config.epochs):
+    state = AdamState.for_params(model.flat)
+    losses = np.empty(config.epochs)
+    for epoch in range(config.epochs):
         order = rng.permutation(n)
-        if config.full_pass:
-            yield [order[start : start + batch] for start in range(0, n, batch)]
-        else:
-            yield [order[:batch]]
+        step_losses = []
+        for start in range(0, n, batch) if config.full_pass else [0]:
+            loss, grads = grad_fn(order[start : start + batch])
+            adam_step(model.flat, grads, state, config.learning_rate)
+            if mask is not None:
+                model.flat[mask] = 0.0
+            step_losses.append(loss)
+        losses[epoch] = np.mean(step_losses)
+    return losses
 
 
 def evaluate(model: DenseModel, beats: BeatSet) -> tuple[float, float]:
@@ -195,30 +205,19 @@ def fit(
     rng = np.random.default_rng(config.seed)
     model = (glorot_init(LAYER_SHAPES, config.variant, rng) if init_model is None
              else replace(init_model))
-    mask = np.zeros(model.flat.shape, dtype=bool) if freeze_mask is None else freeze_mask
-    model.flat[mask] = 0.0
+    if freeze_mask is not None:
+        model.flat[freeze_mask] = 0.0
 
     targets = one_hot(train.labels)
-    state = AdamState.for_params(model.flat)
-    losses = np.empty(config.epochs)
-    for epoch, batches in enumerate(_epochs(len(train), config, rng)):
-        losses[epoch] = np.mean(
-            [_step(model, mask, train, targets, idx, state, config) for idx in batches]
-        )
+    losses = _descend(model, lambda idx: backward(
+        model, train.windows.take(idx, axis=0), targets.take(idx, axis=0)),
+        len(train), config, rng, freeze_mask)
 
     trace = TrainTrace(losses)
     trace.train_accuracy, trace.train_macro_f1 = evaluate(model, train)
     if test is not None and len(test) > 0:
         trace.test_accuracy, trace.test_macro_f1 = evaluate(model, test)
     return model, trace
-
-
-def _step(model, mask, train, targets, idx, state, config) -> float:
-    x, y = train.windows.take(idx, axis=0), targets.take(idx, axis=0)
-    loss, grads = backward(model, x, y)
-    adam_step(model.flat, grads, state, config.learning_rate)
-    model.flat[mask] = 0.0
-    return loss
 
 
 def fit_weights_only(
@@ -251,16 +250,22 @@ def prune_and_retrain(
     Pruned positions stay exactly zero through retraining; pruning is not
     iterated. `fit` zeroes them in its own copy of `model`.
     """
-    mask = prune_mask(model)
     retrain_config = replace(config, learning_rate=config.learning_rate / 100.0)
-    retrained, _ = fit(train, None, retrain_config, init_model=model, freeze_mask=mask)
-    return retrained
+    return fit(train, None, retrain_config, init_model=model, freeze_mask=prune_mask(model))[0]
+
+
+def _distill_objective(soft_targets, p_soft, p_hard, hard_targets) -> float:
+    """The distillation loss, batch means: 0.9 KL(q || p_soft) + 0.1 CE(y, p_hard)."""
+    q, y = soft_targets, np.asarray(hard_targets, dtype=np.float64)
+    kl = float(np.mean(np.sum(q * (np.log(q) - np.log(p_soft)), axis=-1)))
+    ce = float(np.mean(-np.sum(y * np.log(p_hard), axis=-1)))
+    return 0.9 * kl + 0.1 * ce
 
 
 def distill_backward(
     student: DenseModel, x, soft_targets, hard_targets, temperature: float
-) -> np.ndarray:
-    """Exact gradient of the distillation objective w.r.t. `student.flat`, for one batch."""
+) -> tuple[float, np.ndarray]:
+    """The distillation loss and its exact gradient w.r.t. `student.flat`, for one batch."""
     z1, a1, z2, out = forward_batch(student, x)
     p_soft = softmax(z2 / temperature)
     p_hard = out if VARIANTS[student.variant][1] == SOFTMAX else softmax(z2)
@@ -269,7 +274,8 @@ def distill_backward(
         0.9 * (p_soft - soft_targets) / (temperature * n)
         + 0.1 * (p_hard - hard_targets) / n
     )
-    return _grads_from_dz2(student, x, a1, z1, dz2)
+    loss = _distill_objective(soft_targets, p_soft, p_hard, hard_targets)
+    return loss, _grads_from_dz2(student, x, a1, z1, dz2)
 
 
 def distill(teacher: DenseModel, train: BeatSet, config: TrainConfig) -> DenseModel:
@@ -278,34 +284,26 @@ def distill(teacher: DenseModel, train: BeatSet, config: TrainConfig) -> DenseMo
     Loss = 0.9 * KL(teacher softmax(z/T) || student softmax(z/T))
          + 0.1 * cross-entropy(hard one-hot targets, student softmax(z)).
     T is `DISTILL_TEMPERATURE`. Softmax is applied to both logit sets
-    regardless of variant. Batches
-    follow `fit`'s schedule, `config.full_pass` included; no caller sets
-    it, so the student still takes one step per epoch.
+    regardless of variant. The student takes the teacher's variant;
+    `config.variant` is not read. Batches follow `fit`'s schedule,
+    `config.full_pass` included.
     """
     soft_targets = softmax(forward_batch(teacher, train.windows)[2] / DISTILL_TEMPERATURE)
     hard_targets = one_hot(train.labels)
     rng = np.random.default_rng(config.seed)
     shapes = [(INPUT_LEN, STUDENT_HIDDEN_LEN), (STUDENT_HIDDEN_LEN, OUTPUT_LEN)]
     student = glorot_init(shapes, teacher.variant, rng)
-    state = AdamState.for_params(student.flat)
-    for batches in _epochs(len(train), config, rng):
-        for idx in batches:
-            grads = distill_backward(
-                student, train.windows[idx], soft_targets[idx], hard_targets[idx],
-                DISTILL_TEMPERATURE,
-            )
-            adam_step(student.flat, grads, state, config.learning_rate)
+    _descend(student, lambda idx: distill_backward(
+        student, train.windows[idx], soft_targets[idx], hard_targets[idx], DISTILL_TEMPERATURE),
+        len(train), config, rng)
     return student
 
 
 def distill_loss(
     teacher_logits, student_logits, hard_targets, temperature: float = DISTILL_TEMPERATURE
 ) -> float:
-    """The distillation objective itself, exposed for verification."""
-    q = softmax(np.asarray(teacher_logits) / temperature)
-    p_soft = softmax(np.asarray(student_logits) / temperature)
-    p_hard = softmax(np.asarray(student_logits))
-    y = np.asarray(hard_targets, dtype=np.float64)
-    kl = float(np.mean(np.sum(q * (np.log(q) - np.log(p_soft)), axis=-1)))
-    ce = float(np.mean(-np.sum(y * np.log(p_hard), axis=-1)))
-    return 0.9 * kl + 0.1 * ce
+    """The distillation objective on teacher and student logits, for verification."""
+    student_logits = np.asarray(student_logits)
+    return _distill_objective(softmax(np.asarray(teacher_logits) / temperature),
+                              softmax(student_logits / temperature),
+                              softmax(student_logits), hard_targets)

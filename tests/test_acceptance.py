@@ -15,7 +15,7 @@ import pytest
 
 from tinyecg.ingest import BeatSet, split
 from tinyecg.metrics import ConfusionMatrix, confusion, scores
-from tinyecg.nn import VARIANTS, glorot_init, model_forward, unflatten
+from tinyecg.nn import VARIANTS, forward, glorot_init, unflatten
 from tinyecg.quant import (
     QuantParams,
     QuantizedModel,
@@ -122,7 +122,7 @@ def test_criterion_3_forward_pass_equivalence():
             )
             beat = rng.uniform(0, 2, 61)
             got = forward_temporary_dequantized(qm, beat)
-            oracle = model_forward(dequantize_model(qm), beat)
+            oracle = forward(dequantize_model(qm), beat)
             worst = max(worst, float(np.max(np.abs(got - oracle))))
         ok = worst < 1e-6
     verdict(3, "forward-pass equivalence", ok and sw.seconds < 10.0,

@@ -173,10 +173,10 @@ class TestTrain:
             "--variant", "relu-softmax", "--epochs", "10", "--out", str(out),
         ]) == EXIT_OK
         from tinyecg.modelio import load_model
-        from tinyecg.nn import model_forward
+        from tinyecg.nn import forward
 
         model = load_model(out)
-        vec = model_forward(model, np.random.default_rng(1).uniform(0, 1, 61))
+        vec = forward(model, np.random.default_rng(1).uniform(0, 1, 61))
         assert float(vec.sum()) == pytest.approx(1.0, abs=1e-9)
 
 

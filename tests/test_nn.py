@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,15 +17,14 @@ from tinyecg.nn import (
     flat_size,
     forward,
     glorot_init,
-    model_forward,
-    predict,
+    predict_labels,
     relu,
     sigmoid,
     softmax,
     standard_model,
     unflatten,
 )
-from tinyecg.quant import dequantize_model, quantize_model
+from tinyecg.quant import _temporary_layer, dequantize_model, quantize_model
 from tinyecg.synthetic import separable_beatset
 from tinyecg.train import TrainConfig, distill, fit, prune_and_retrain
 
@@ -221,7 +221,7 @@ class TestLayerForward:
         (_, _, _, z1), (_, _, a1, z2) = seen
         np.testing.assert_array_equal(a1, relu(z1))
         np.testing.assert_array_equal(out, softmax(z2))
-        np.testing.assert_array_equal(out, model_forward(model, np.ones(61)))
+        np.testing.assert_array_equal(out, forward(model, np.ones(61)))
 
 
 class TestDenseModel:
@@ -286,6 +286,32 @@ class TestFlatBuffer:
         with pytest.raises(ValueError, match="expected 664 parameters"):
             unflatten(np.zeros(size), LAYER_SHAPES)
 
+    @pytest.mark.parametrize("quantized", [False, True], ids=["float", "int8"])
+    def test_rebinding_a_view_raises_and_in_place_writes_reach_the_file(
+        self, quantized, tmp_path
+    ):
+        model, save, load = standard_model("relu-softmax", seed=3), save_model, load_model
+        if quantized:
+            model, save, load = quantize_model(model), save_qmodel, load_qmodel
+        before = model.flat.tobytes()
+        for name in ("w1", "b1", "w2", "b2", "flat"):
+            with pytest.raises(AttributeError, match="write it in place"):
+                setattr(model, name, np.zeros_like(getattr(model, name)))
+        assert model.flat.tobytes() == before
+        # augmented assignment rebinds a field to itself; slice writes never rebind
+        model.w1 *= -1
+        model.b2[1:] = 2
+        model.w2 = model.w2
+        copy = replace(model)
+        assert copy.flat.tobytes() == model.flat.tobytes() != before
+        save(model, tmp_path / "model")
+        loaded = load(tmp_path / "model")
+        assert loaded.flat.tobytes() == model.flat.tobytes()
+        beat = np.linspace(0, 1, 61)
+        kernel = (_temporary_layer, model.qparams) if quantized else ()
+        np.testing.assert_array_equal(forward(loaded, beat, *kernel),
+                                      forward(model, beat, *kernel))
+
     @pytest.mark.parametrize("route", CONSTRUCTION_ROUTES)
     def test_fields_are_views_of_an_owned_writable_flat(self, route, tmp_path):
         # a deepcopy parts each field from the buffer, and an uncopied
@@ -310,18 +336,18 @@ class TestModelForward:
         model = standard_model("sigmoid-sigmoid")
         for p in model.parameters:
             p[...] = 0.0
-        out = model_forward(model, np.zeros(61))
+        out = forward(model, np.zeros(61))
         # layer 1 emits all 0.5; with zero weights layer 2 sees z=0 -> 0.5
         assert out == pytest.approx([0.5] * 4)
 
     def test_softmax_variant_sums_to_one(self, rng):
         model = standard_model("relu-softmax", seed=5)
-        out = model_forward(model, rng.uniform(0, 1, 61))
+        out = forward(model, rng.uniform(0, 1, 61))
         assert float(out.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_sigmoid_outputs_unconstrained_sum(self, rng):
         model = standard_model("sigmoid-sigmoid", seed=5)
-        out = model_forward(model, rng.uniform(0, 1, 61))
+        out = forward(model, rng.uniform(0, 1, 61))
         assert ((out > 0) & (out < 1)).all()
         assert abs(float(out.sum()) - 1.0) > 1e-6  # no normalization constraint
 
@@ -330,7 +356,7 @@ class TestModelForward:
         model = standard_model(variant, seed=11)
         for _ in range(5):
             beat = rng.uniform(0, 2, 61)
-            got = model_forward(model, beat)
+            got = forward(model, beat)
             np.testing.assert_allclose(got, reference_forward(model, beat), atol=1e-6)
 
 
@@ -353,14 +379,14 @@ class TestPredict:
     )
     def test_argmax_and_ties(self, out, expected):
         model = self._fixed_output_model(out)
-        assert predict(model, np.zeros(61)) == expected
+        assert CLASSES[predict_labels(model, [np.zeros(61)])[0]] == expected
 
     def test_invariant_under_increasing_transform(self, rng):
         model = standard_model("sigmoid-sigmoid", seed=2)
         for _ in range(20):
             beat = rng.uniform(0, 1, 61)
-            out = model_forward(model, beat)
+            out = forward(model, beat)
             base = int(np.argmax(out))
             for transform in (np.exp, np.tanh, lambda v: 3 * v + 1, np.sqrt):
                 assert int(np.argmax(transform(out))) == base
-        assert CLASSES[base] == predict(model, beat)
+        assert base == predict_labels(model, [beat])[0]

@@ -9,7 +9,6 @@ from tinyecg.nn import (
     dense,
     forward,
     layers,
-    model_forward,
     predict_labels,
     relu,
     sigmoid,
@@ -254,7 +253,7 @@ class TestForwardTemporaryDequantized:
             qm = random_qmodel(rng, variant)
             beat = rng.uniform(0, 2, 61)
             got = forward_temporary_dequantized(qm, beat)
-            oracle = model_forward(dequantize_model(qm), beat)
+            oracle = forward(dequantize_model(qm), beat)
             np.testing.assert_allclose(got, oracle, atol=1e-6)
 
     def test_asymmetric_also_matches(self, rng):
@@ -264,7 +263,7 @@ class TestForwardTemporaryDequantized:
         beat = rng.uniform(0, 1, 61)
         np.testing.assert_allclose(
             forward_temporary_dequantized(qm, beat),
-            model_forward(dequantize_model(qm), beat),
+            forward(dequantize_model(qm), beat),
             atol=1e-6,
         )
 
@@ -292,7 +291,7 @@ class TestForwardTemporaryDequantized:
         qm = random_qmodel(rng, variant, zero_point)
         beat = rng.uniform(0, 2, 61)
         dequantized = dequantize_model(qm)
-        expected = model_forward(dequantized, beat)
+        expected = forward(dequantized, beat)
         for got in (
             forward_temporary_dequantized(qm, beat),
             forward(qm, beat, _per_parameter_layer, qm.qparams),
@@ -381,7 +380,7 @@ class TestPredictLabels:
         for labels in (default, tdq, quantized):
             assert labels.dtype == np.int64 and labels.shape == (n_beats,)
         per_parameter = outputs(forward, qm, _per_parameter_layer, qm.qparams)
-        np.testing.assert_array_equal(default, outputs(model_forward, model).argmax(axis=1))
+        np.testing.assert_array_equal(default, outputs(forward, model).argmax(axis=1))
         np.testing.assert_array_equal(tdq, per_parameter.argmax(axis=1))
         np.testing.assert_array_equal(
             quantized, outputs(forward_quantized_only, qm).argmax(axis=1)
@@ -415,7 +414,7 @@ class TestBatchWalk:
         model = dequantize_model(qm)
         windows = rng.uniform(0, 2, (n_beats, 61))
         for forward_fn, m, labels in (
-            (model_forward, model, predict_labels(model, windows)),
+            (forward, model, predict_labels(model, windows)),
             (forward_temporary_dequantized, qm,
              predict_labels_quantized(qm, windows, temporary=True)),
             (forward_quantized_only, qm, predict_labels_quantized(qm, windows, temporary=False)),

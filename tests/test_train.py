@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import tinyecg.train as train_module
 from tinyecg.ingest import BeatSet
-from tinyecg.nn import VARIANTS, glorot_init, model_forward, softmax, standard_model, unflatten
+from tinyecg.nn import VARIANTS, forward, glorot_init, softmax, standard_model, unflatten
 from tinyecg.synthetic import separable_beatset
 from tinyecg.train import (
     ADAM_BETA1,
@@ -102,7 +104,7 @@ class TestForwardBatch:
         x = rng.uniform(-2, 2, (n_rows, 61))
         out = forward_batch(model, x)[3]
         for row, beat in zip(out, x):
-            np.testing.assert_allclose(row, model_forward(model, beat), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(row, forward(model, beat), rtol=0, atol=1e-12)
 
 
 class TestBackward:
@@ -262,6 +264,28 @@ class TestFit:
         model, trace = fit(toy_beats, None, config)
         assert len(trace.losses) == 5
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        per_class=st.integers(1, 8),
+        extra=st.integers(0, 40),
+        seed=st.integers(0, 2**16),
+        epochs=st.integers(1, 4),
+        variant=st.sampled_from(sorted(VARIANTS)),
+    )
+    def test_full_pass_is_the_default_schedule_when_one_batch_covers_the_set(
+        self, per_class, extra, seed, epochs, variant
+    ):
+        beats = separable_beatset(per_class=per_class, seed=seed)
+        default = TrainConfig(epochs=epochs, learning_rate=0.01,
+                              batch_size=len(beats) + extra, seed=seed, variant=variant)
+        full = replace(default, full_pass=True)
+        model, trace = fit(beats, None, default)
+        full_model, full_trace = fit(beats, None, full)
+        assert full_model.flat.tobytes() == model.flat.tobytes()
+        assert full_trace.losses.tobytes() == trace.losses.tobytes()
+        student = distill(model, beats, default)
+        assert distill(model, beats, full).flat.tobytes() == student.flat.tobytes()
+
     def test_test_set_metrics_populated(self, toy_beats):
         train_set = toy_beats
         test_set = separable_beatset(per_class=20, seed=99)
@@ -343,21 +367,25 @@ class TestDistillation:
         assert full == pytest.approx(0.1 * ce_only, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self, rng):
-        teacher = glorot_init([(5, 3), (3, 4)], "sigmoid-softmax", rng)
-        student = glorot_init([(5, 4), (4, 4)], "sigmoid-softmax", rng)
-        x = rng.normal(0, 1, (6, 5))
-        y = one_hot(rng.integers(0, 4, 6))
-        T = 10.0
-        soft = softmax(forward_batch(teacher, x)[2] / T)
-        analytic = distill_backward(student, x, soft, y, T)
+        # the student takes the teacher's variant; softmax is applied to
+        # both logit sets whatever it is
+        for variant in sorted(VARIANTS):
+            teacher = glorot_init([(5, 3), (3, 4)], variant, rng)
+            student = glorot_init([(5, 4), (4, 4)], variant, rng)
+            x = rng.normal(0, 1, (6, 5))
+            y = one_hot(rng.integers(0, 4, 6))
+            T = 10.0
+            soft = softmax(forward_batch(teacher, x)[2] / T)
+            loss, analytic = distill_backward(student, x, soft, y, T)
 
-        def loss():
-            return distill_loss(
-                forward_batch(teacher, x)[2], forward_batch(student, x)[2], y, T
-            )
+            def objective():
+                return distill_loss(
+                    forward_batch(teacher, x)[2], forward_batch(student, x)[2], y, T
+                )
 
-        numeric = finite_difference_grads(loss, student.parameters, h=1e-5)
-        assert max_relative_error(unflatten(analytic, student.shapes), numeric) < 1e-4
+            assert loss == pytest.approx(objective(), rel=0, abs=1e-12), variant
+            numeric = finite_difference_grads(objective, student.parameters, h=1e-5)
+            assert max_relative_error(unflatten(analytic, student.shapes), numeric) < 1e-4, variant
 
     def test_student_learns_separable_set(self, toy_beats):
         teacher, _ = fit(
