@@ -3,8 +3,8 @@
 
 Two checkouts that print the same lines compute the same bits: the
 bandpass biquad's coefficients over a grid of sampling rates, trained
-parameters and loss curves (`fit` in both batch schedules, `distill`,
-`prune_and_retrain`, `fit_weights_only`) for all four variants, both
+parameters and loss curves (`fit`, `distill`, `prune_and_retrain`,
+`fit_weights_only`) for all four variants, both
 quantization modes, every forward (per beat and batched) and
 `predict_labels*` in all three inference modes, saved
 `.tnm`/`.tnq` bytes with their JSON mirrors, `tinyecg quantize`'s
@@ -31,7 +31,7 @@ from tinyecg import cli, modelio, quant
 from tinyecg.dsp import FilterSpec, bandpass_coefficients
 from tinyecg.ingest import extract_beats, load_annotations, load_signal, split
 from tinyecg.nn import VARIANTS, forward, predict_labels, sigmoid, softmax
-from tinyecg.qrs import RPeakDetector, WindowLostError, emit_window
+from tinyecg.qrs import RPeakDetector
 from tinyecg.synthetic import labeled_recording, write_annotation_csv, write_signal_csv
 from tinyecg.train import (
     TrainConfig,
@@ -93,29 +93,17 @@ def training_beats(work: Path):
 
 
 def detect(seed: int):
-    """`tinyecg stream`'s detection: indices, lost beats, final levels, windows."""
+    """`tinyecg stream`'s detection: indices, lost beats, final levels, windows.
+
+    `lost` stays empty (a lost window raises); it is hashed so that the
+    line matches checkouts whose stream loop counted lost beats.
+    """
     samples, _ = labeled_recording(beat_labels(seed, 60), bpm=110.0, snr_db=25.0, seed=seed)
     detector = RPeakDetector(FilterSpec(FS))
-    detected, lost, windows, pending = [], [], [], []
-    for raw in samples:
-        r = detector.push_sample(raw)
-        if r is not None:
-            detected.append(r)
-            pending.append(r)
-        waiting = []
-        for r_index in pending:
-            try:
-                window = emit_window(detector.buffer, r_index)
-            except WindowLostError:
-                lost.append(r_index)
-                continue
-            if window is None:
-                waiting.append(r_index)
-            else:
-                windows.append(window)
-        pending = waiting
+    beats = [beat for beat in map(detector.push, samples) if beat is not None]
+    detected = [r for r, _ in beats]
     state = detector.state
-    return detected, lost, [state.signal_level, state.noise_level], windows
+    return detected, [], [state.signal_level, state.noise_level], [w for _, w in beats]
 
 
 def lines(epochs: int, work: Path):
@@ -142,10 +130,6 @@ def lines(epochs: int, work: Path):
                              seed=3, variant=variant)
         model, trace = fit(train_set, test_set, config)
         yield f"fit.{variant}", model_digest(model, trace)
-        full, full_trace = fit(train_set, test_set, TrainConfig(
-            epochs=max(1, epochs // 4), learning_rate=0.01, batch_size=64, seed=4,
-            variant=variant, full_pass=True))
-        yield f"fit.full_pass.{variant}", model_digest(full, full_trace)
         yield f"distill.{variant}", model_digest(distill(model, train_set, config))
         yield f"prune_and_retrain.{variant}", model_digest(
             prune_and_retrain(model, train_set, config))

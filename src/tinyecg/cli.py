@@ -32,9 +32,9 @@ from .ingest import (
 )
 from .labels import CLASSES
 from .nn import VARIANTS, DenseModel, predict_labels
-from .qrs import RPeakDetector, WindowLostError, emit_window
+from .qrs import RPeakDetector
 from .quant import QuantizedModel, predict_labels_quantized
-from .train import TrainConfig, fit, fit_weights_only
+from .train import TrainConfig, fit
 
 EXIT_OK = 0
 EXIT_INPUT = 3
@@ -73,12 +73,8 @@ def cmd_train(args) -> int:
         batch_size=args.batch_size,
         seed=args.seed,
         variant=args.variant,
-        full_pass=args.full_pass,
     )
-    if args.weights_only:
-        model, trace = fit_weights_only(train_set, test_set, config)
-    else:
-        model, trace = fit(train_set, test_set, config)
+    model, trace = fit(train_set, test_set, config)
     modelio.save_model(model, args.out)
     modelio.save_json_mirror(model, str(args.out) + ".json")
     if args.trace:
@@ -151,8 +147,6 @@ def cmd_eval(args) -> int:
     report = metrics.scores(metrics.confusion(beats.labels, predicted))
     if args.json:
         print(json.dumps(metrics.report_to_dict(report)))
-    elif args.csv:
-        print(metrics.report_to_csv(report), end="")
     else:
         print(metrics.format_report(report))
     return EXIT_OK
@@ -165,30 +159,17 @@ def cmd_stream(args) -> int:
                          f"the stream emits {WINDOW_LEN}-sample windows")
     signal = load_signal(args.signal, args.sampling_rate)
     detector = RPeakDetector(FilterSpec(args.sampling_rate))
-    pending: list[int] = []
     events = 0
     for raw in signal.samples:
-        r = detector.push_sample(raw)
-        if r is not None:
-            pending.append(r)
-        still_waiting = []
-        for r_index in pending:
-            try:
-                window = emit_window(detector.buffer, r_index)
-            except WindowLostError:
-                print(f"# beat at {r_index} lost (buffer overflow)", file=sys.stderr)
-                continue
-            if window is None:
-                still_waiting.append(r_index)
-                continue
-            label = CLASSES[
-                int(np.argmax(quant.forward_temporary_dequantized(qmodel, window)))
-            ]
-            print(f"{r_index},{label}")
-            if label != "N":
-                print(f"ALERT,{r_index},{label}")
-            events += 1
-        pending = still_waiting
+        beat = detector.push(raw)
+        if beat is None:
+            continue
+        r_index, window = beat
+        label = CLASSES[int(np.argmax(quant.forward_temporary_dequantized(qmodel, window)))]
+        print(f"{r_index},{label}")
+        if label != "N":
+            print(f"ALERT,{r_index},{label}")
+        events += 1
     print(f"# {events} beat(s) classified", file=sys.stderr)
     return EXIT_OK
 
@@ -218,10 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--train-fraction", type=float, default=TRAIN_FRACTION)
-    p.add_argument("--full-pass", action="store_true",
-                   help="sweep the full training set each epoch instead of one batch")
-    p.add_argument("--weights-only", action="store_true",
-                   help="pin biases at zero (compression ablation)")
     p.add_argument("--out", required=True, help="output model file")
     p.add_argument("--trace", help="optional epoch,loss CSV")
     p.set_defaults(func=cmd_train)
@@ -240,9 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("all", "train", "test"), default="all")
     p.add_argument("--train-fraction", type=float, default=TRAIN_FRACTION)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--csv", action="store_true")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("stream", help="replay a recording through detection + classification")

@@ -115,16 +115,15 @@ class StreamingPreprocessor:
 
     Feeding a recording one sample at a time produces the same values as
     the batch chain (up to float summation order in the trailing mean).
-    Holds only the biquad state, four derivative taps and the MWI window,
-    all as Python floats: per-sample arithmetic on numpy scalars costs
-    several times more.
+    Holds only the biquad's coefficients and two state values, four
+    derivative taps and the MWI window, all as Python floats: per-sample
+    arithmetic on numpy scalars costs several times more.
     """
 
     def __init__(self, spec: FilterSpec):
-        b, a = bandpass_coefficients(spec)
-        self._b: list[float] = [float(v) for v in b]
-        self._a: list[float] = [float(v) for v in a]
-        self._z: list[float] = [0.0] * (len(self._b) - 1)
+        (b0, b1, b2), (_, a1, a2) = bandpass_coefficients(spec)  # a0 is 1
+        self._coef = (float(b0), float(b1), float(b2), float(a1), float(a2))
+        self._z0 = self._z1 = 0.0
         self._taps: list[float] | None = None  # last 4 bandpassed samples, newest first
         # Summed afresh from the oldest sample on every push: a running
         # add/subtract sum would drift away from the batch chain.
@@ -140,11 +139,10 @@ class StreamingPreprocessor:
         if not math.isfinite(x):
             raise ValueError(f"non-finite sample {x!r}")
         # Direct form II transposed, matching scipy.signal.lfilter.
-        b, a, z = self._b, self._a, self._z
-        y = b[0] * x + z[0]
-        for i in range(len(z) - 1):
-            z[i] = b[i + 1] * x + z[i + 1] - a[i + 1] * y
-        z[-1] = b[-1] * x - a[-1] * y
+        b0, b1, b2, a1, a2 = self._coef
+        y = b0 * x + self._z0
+        self._z0 = b1 * x + self._z1 - a1 * y
+        self._z1 = b2 * x - a2 * y
 
         if self._taps is None:
             self._taps = [y, y, y, y]

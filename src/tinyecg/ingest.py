@@ -30,7 +30,7 @@ WINDOW_HALF = 30
 WINDOW_LEN = 2 * WINDOW_HALF + 1
 # What np.load raises on a damaged archive, seen by flipping each byte of
 # a saved beats file in turn.
-_ARCHIVE_ERRORS = (EOFError, NotImplementedError, OSError, ValueError,
+_ARCHIVE_ERRORS = (EOFError, NotImplementedError, OSError, RuntimeError, ValueError,
                    tokenize.TokenError, zipfile.BadZipFile, zlib.error)
 
 
@@ -89,9 +89,9 @@ class BeatSet:
         return {c: int(np.sum(self.labels == i)) for i, c in enumerate(CLASSES)}
 
     def save(self, path) -> None:
-        np.savez_compressed(
-            path, windows=self.windows, labels=self.labels, skipped=self.skipped
-        )
+        # Stored, not deflated: zlib shrinks float64 windows by only about 6%,
+        # and inflating them made each load several times slower.
+        np.savez(path, windows=self.windows, labels=self.labels, skipped=self.skipped)
 
     @classmethod
     def load(cls, path) -> "BeatSet":
@@ -200,15 +200,13 @@ def extract_beats(signal: Signal, annotations: list[Annotation]) -> BeatSet:
             continue
         windows.append(stream[lo : hi + 1])
         labels.append(LABEL_INDEX[ann.label])
-    if windows:
-        return BeatSet(np.stack(windows), np.array(labels), skipped)
-    return BeatSet(np.empty((0, WINDOW_LEN)), np.empty(0, dtype=np.int64), skipped)
+    return BeatSet(windows, labels, skipped)
 
 
 def merge(beat_sets: list[BeatSet]) -> BeatSet:
     """Concatenate per-record beat sets (records are preprocessed independently)."""
     if not beat_sets:
-        return BeatSet(np.empty((0, WINDOW_LEN)), np.empty(0, dtype=np.int64), 0)
+        return BeatSet([], [])
     return BeatSet(
         np.concatenate([b.windows for b in beat_sets]),
         np.concatenate([b.labels for b in beat_sets]),
@@ -243,10 +241,8 @@ def split(beats: BeatSet, train_fraction: float, seed: int = 0) -> tuple[BeatSet
         test_idx.append(members[perm[n_train:]])
 
     def take(groups) -> BeatSet:
-        if not groups:
-            return BeatSet(np.empty((0, WINDOW_LEN)), np.empty(0, dtype=np.int64), 0)
-        idx = np.sort(np.concatenate(groups))
-        return BeatSet(beats.windows[idx], beats.labels[idx], 0)
+        idx = np.sort(np.concatenate([np.empty(0, np.intp), *groups]))
+        return BeatSet(beats.windows[idx], beats.labels[idx])
 
     return take(train_idx), take(test_idx)
 

@@ -153,24 +153,6 @@ def format_report(report: EvalReport) -> str:
     return "\n".join(out)
 
 
-def report_to_csv(report: EvalReport) -> str:
-    lines = ["class,precision,recall,f1,support"]
-    for i, cls in enumerate(CLASSES):
-        lines.append(
-            f"{cls},{float(report.precision[i])!r},{float(report.recall[i])!r},"
-            f"{float(report.f1[i])!r},{int(report.support[i])}"
-        )
-    lines.append(
-        f"macro,{report.macro_precision!r},{report.macro_recall!r},{report.macro_f1!r},"
-    )
-    lines.append(
-        f"weighted,{report.weighted_precision!r},{report.weighted_recall!r},"
-        f"{report.weighted_f1!r},{int(report.support.sum())}"
-    )
-    lines.append(f"accuracy,{report.accuracy!r},,,")
-    return "\n".join(lines) + "\n"
-
-
 def report_to_dict(report: EvalReport) -> dict:
     return {
         "per_class": {

@@ -7,6 +7,10 @@ stream (max -> signal level, mean -> noise level), so recordings are
 expected to contain beats from the start. The long search-back pass of
 the full algorithm is omitted: the 150-sample buffer cannot hold enough
 history to support it.
+
+`RPeakDetector.push` is the live loop's one step: it feeds a sample
+through `push_sample` and hands back each beat's 61-sample window on the
+sample that completes it.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ class DetectorState:
 
 
 class RPeakDetector:
-    """One instance per stream; feed raw samples, get absolute peak indices.
+    """One instance per stream; feed raw samples, get beats.
 
     Detection happens one sample after a local maximum of the integrated
     signal (the fall confirms the peak). Peaks above threshold outside
@@ -109,6 +113,27 @@ class RPeakDetector:
         self._prev = 0.0
         self._prev_index = -1
         self._rising = False
+        # Detected peaks whose window is not yet buffered, oldest first
+        # (at most ceil(WINDOW_HALF / refractory_samples) of them).
+        self._pending: deque[int] = deque()
+
+    def push(self, raw: float) -> tuple[int, np.ndarray] | None:
+        """Advance one raw sample; returns `(r_index, window)` for the beat
+        whose 61-sample window this sample completes.
+
+        Peaks are detected in index order, one sample after the peak, so
+        their windows complete in that order and at most one per sample:
+        only the oldest pending peak needs a check. Raises WindowLostError
+        if that window has already scrolled out of the buffer.
+        """
+        r = self.push_sample(raw)
+        pending = self._pending
+        if r is not None:
+            pending.append(r)
+        if pending and pending[0] + WINDOW_HALF <= self.buffer.head:
+            r = pending.popleft()
+            return r, emit_window(self.buffer, r)
+        return None
 
     def push_sample(self, raw: float) -> int | None:
         """Advance one raw sample; returns the peak's absolute index on detection."""

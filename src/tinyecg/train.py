@@ -3,8 +3,7 @@
 Gradients are exact for all four activation pairings (the softmax path uses
 the full Jacobian, not the cross-entropy shortcut) and read each layer's
 (z, a) from the inference walk, `nn.layers`. One epoch takes one Adam
-step, from one batched forward in `backward`, on a freshly shuffled batch;
-`full_pass=True` sweeps the whole training set in batch-size chunks instead.
+step, from one batched forward in `backward`, on a freshly shuffled batch.
 One loop, `_descend`, owns that schedule, the Adam state and the freeze mask;
 `fit` and `distill` each hand it a `grad_fn(idx) -> (loss, grads)`.
 A gradient, the Adam moments and a freeze or prune mask each span the
@@ -40,7 +39,6 @@ class TrainConfig:
     batch_size: int = 1024
     seed: int = 0
     variant: str = "sigmoid-sigmoid"
-    full_pass: bool = False  # one step per epoch (default) vs full sweep per epoch
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -155,25 +153,19 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
 
 def _descend(model: DenseModel, grad_fn, n: int, config: TrainConfig,
              rng: np.random.Generator, mask: np.ndarray | None = None) -> np.ndarray:
-    """Adam on `model.flat` over `n` samples; returns each epoch's mean loss.
+    """Adam on `model.flat` over `n` samples; returns each epoch's loss.
 
-    Per epoch, one shuffled batch of `config.batch_size`, or with `full_pass` the
-    whole shuffled set in batch-size chunks; `grad_fn(idx) -> (loss, grads)` scores
-    one batch, and `mask` positions are re-zeroed after every step.
+    Each epoch takes one step on a freshly shuffled batch of `config.batch_size`;
+    `grad_fn(idx) -> (loss, grads)` scores it, and `mask` positions are
+    re-zeroed after the step.
     """
-    batch = min(config.batch_size, n)
     state = AdamState.for_params(model.flat)
     losses = np.empty(config.epochs)
     for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        step_losses = []
-        for start in range(0, n, batch) if config.full_pass else [0]:
-            loss, grads = grad_fn(order[start : start + batch])
-            adam_step(model.flat, grads, state, config.learning_rate)
-            if mask is not None:
-                model.flat[mask] = 0.0
-            step_losses.append(loss)
-        losses[epoch] = np.mean(step_losses)
+        losses[epoch], grads = grad_fn(rng.permutation(n)[: config.batch_size])
+        adam_step(model.flat, grads, state, config.learning_rate)
+        if mask is not None:
+            model.flat[mask] = 0.0
     return losses
 
 
@@ -285,8 +277,7 @@ def distill(teacher: DenseModel, train: BeatSet, config: TrainConfig) -> DenseMo
          + 0.1 * cross-entropy(hard one-hot targets, student softmax(z)).
     T is `DISTILL_TEMPERATURE`. Softmax is applied to both logit sets
     regardless of variant. The student takes the teacher's variant;
-    `config.variant` is not read. Batches follow `fit`'s schedule,
-    `config.full_pass` included.
+    `config.variant` is not read. Batches follow `fit`'s schedule.
     """
     soft_targets = softmax(forward_batch(teacher, train.windows)[2] / DISTILL_TEMPERATURE)
     hard_targets = one_hot(train.labels)

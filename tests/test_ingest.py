@@ -1,4 +1,5 @@
 import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -239,6 +240,27 @@ class TestBeatSetRoundTrip:
         np.testing.assert_array_equal(loaded.windows, beats.windows)
         np.testing.assert_array_equal(loaded.labels, beats.labels)
         assert loaded.skipped == 7
+        with zipfile.ZipFile(tmp_path / "beats.npz") as archive:
+            assert {m.compress_type for m in archive.infolist()} == {zipfile.ZIP_STORED}
+
+    def test_compressed_file_still_loads(self, tmp_path):
+        # beats files saved by earlier versions hold deflated members
+        beats = make_beatset([3, 2, 1, 4])
+        np.savez_compressed(tmp_path / "old.npz", windows=beats.windows,
+                            labels=beats.labels, skipped=7)
+        loaded = BeatSet.load(tmp_path / "old.npz")
+        assert loaded.windows.tobytes() == beats.windows.tobytes()
+        assert loaded.labels.tobytes() == beats.labels.tobytes()
+        assert loaded.skipped == 7
+
+    def test_empty_sets_keep_the_window_shape(self):
+        sig = Signal(np.zeros(61), 360.0)
+        singletons = make_beatset([1, 1, 1, 1])
+        with pytest.warns(UserWarning):
+            _, no_test = split(singletons, 0.5)
+        for empty in (extract_beats(sig, [Annotation(10, "N")]), merge([]), no_test):
+            assert empty.windows.shape == (0, 61) and empty.windows.dtype == np.float64
+            assert empty.labels.shape == (0,) and empty.labels.dtype == np.int64
 
     def test_merge_accumulates(self):
         a = make_beatset([2, 0, 0, 0])

@@ -9,7 +9,6 @@ from tinyecg.metrics import (
     ConfusionMatrix,
     confusion,
     format_report,
-    report_to_csv,
     scores,
 )
 
@@ -185,9 +184,3 @@ class TestFormatting:
         assert "Precision" in text and "Macro avg" in text and "Accuracy" in text
         for cls in CLASSES:
             assert cls in text
-
-    def test_csv_layout(self):
-        csv_text = report_to_csv(self._report())
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "class,precision,recall,f1,support"
-        assert len(lines) == 1 + 4 + 3  # header, classes, macro/weighted/accuracy

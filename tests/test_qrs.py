@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tinyecg.dsp import FilterSpec, preprocess
+from tinyecg.ingest import WINDOW_HALF
+from tinyecg.labels import CLASSES
 from tinyecg.qrs import (
     BUFFER_CAPACITY,
     DetectorState,
@@ -12,7 +14,7 @@ from tinyecg.qrs import (
     WindowLostError,
     emit_window,
 )
-from tinyecg.synthetic import pulse_train, qrs_pulse
+from tinyecg.synthetic import labeled_recording, pulse_train, qrs_pulse
 
 FS = 360.0
 
@@ -187,17 +189,52 @@ class TestRPeakDetector:
     def test_detected_windows_are_emittable(self):
         signal, _ = pulse_train(8, fs=FS)
         det = RPeakDetector(FilterSpec(FS))
-        pending, windows = [], []
-        for v in signal:
-            r = det.push_sample(v)
-            if r is not None:
-                pending.append(r)
-            for r_index in list(pending):
-                w = emit_window(det.buffer, r_index)
-                if w is not None:
-                    windows.append(w)
-                    pending.remove(r_index)
+        windows = [beat[1] for beat in map(det.push, signal) if beat is not None]
         assert len(windows) >= 6
         for w in windows:
             assert w.shape == (61,)
             assert (w >= 0).all()
+
+
+def polled_beats(samples, fs):
+    """The loop `RPeakDetector.push` replaces: every sample, every pending
+    peak is offered to `emit_window` (the loop perfbench replays)."""
+    det = RPeakDetector(FilterSpec(fs))
+    pending, beats = [], []
+    for v in samples:
+        r = det.push_sample(v)
+        if r is not None:
+            pending.append(r)
+        waiting = []
+        for r_index in pending:
+            window = emit_window(det.buffer, r_index)  # raises WindowLostError on a loss
+            if window is None:
+                waiting.append(r_index)
+            else:
+                beats.append((r_index, window))
+        pending = waiting
+    return beats
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    fs=st.floats(30.5, 1000.0),
+    labels=st.lists(st.sampled_from(CLASSES), min_size=1, max_size=20),
+    bpm=st.floats(40.0, 200.0),
+    snr_db=st.floats(5.0, 40.0),
+    seed=st.integers(0, 2**16),
+)
+@example(fs=31.0, labels=["N"] * 20, bpm=200.0, snr_db=30.0, seed=0)  # several peaks wait at once
+def test_push_returns_the_polled_windows(fs, labels, bpm, snr_db, seed):
+    samples, _ = labeled_recording(labels, bpm=bpm, fs=fs, snr_db=snr_db, seed=seed)
+    det = RPeakDetector(FilterSpec(fs))
+    beats = []
+    for v in samples:
+        beat = det.push(v)
+        if beat is not None:
+            assert det.buffer.head == beat[0] + WINDOW_HALF
+            beats.append(beat)
+    expected = polled_beats(samples, fs)
+    assert [r for r, _ in beats] == [r for r, _ in expected]
+    for (_, window), (_, oracle) in zip(beats, expected):
+        assert window.dtype == oracle.dtype and window.tobytes() == oracle.tobytes()

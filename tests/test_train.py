@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,33 +256,6 @@ class TestFit:
                             lambda *args: calls.append(args) or forward_batch(*args))
         fit(toy_beats, toy_beats, TrainConfig(epochs=epochs, seed=0))
         assert len(calls) == epochs
-
-    def test_full_pass_mode(self, toy_beats):
-        config = TrainConfig(epochs=5, batch_size=64, full_pass=True, seed=0)
-        model, trace = fit(toy_beats, None, config)
-        assert len(trace.losses) == 5
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        per_class=st.integers(1, 8),
-        extra=st.integers(0, 40),
-        seed=st.integers(0, 2**16),
-        epochs=st.integers(1, 4),
-        variant=st.sampled_from(sorted(VARIANTS)),
-    )
-    def test_full_pass_is_the_default_schedule_when_one_batch_covers_the_set(
-        self, per_class, extra, seed, epochs, variant
-    ):
-        beats = separable_beatset(per_class=per_class, seed=seed)
-        default = TrainConfig(epochs=epochs, learning_rate=0.01,
-                              batch_size=len(beats) + extra, seed=seed, variant=variant)
-        full = replace(default, full_pass=True)
-        model, trace = fit(beats, None, default)
-        full_model, full_trace = fit(beats, None, full)
-        assert full_model.flat.tobytes() == model.flat.tobytes()
-        assert full_trace.losses.tobytes() == trace.losses.tobytes()
-        student = distill(model, beats, default)
-        assert distill(model, beats, full).flat.tobytes() == student.flat.tobytes()
 
     def test_test_set_metrics_populated(self, toy_beats):
         train_set = toy_beats
