@@ -87,7 +87,7 @@ def training_beats(work: Path):
     signal, truth = labeled_recording(beat_labels(0, 300), bpm=90.0, snr_db=25.0)
     write_signal_csv(work / "train.csv", signal)
     write_annotation_csv(work / "train.ann.csv", truth)
-    beats = extract_beats(load_signal(work / "train.csv", FS),
+    beats = extract_beats(load_signal(work / "train.csv"), FilterSpec(FS),
                           load_annotations(work / "train.ann.csv"))
     return split(beats, 0.67, seed=0)
 

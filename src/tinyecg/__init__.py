@@ -11,7 +11,6 @@ from .dsp import FilterSpec, preprocess
 from .ingest import (
     Annotation,
     BeatSet,
-    Signal,
     extract_beats,
     load_annotations,
     load_signal,

@@ -1,9 +1,9 @@
 """Command-line surface for the pipeline.
 
 Subcommands: ingest, train, quantize, eval, stream. Exit codes are 0 on
-success, 2 for usage errors (argparse), 3 for missing/malformed input
-files, 4 for model checksum failures, 5 when the quantized model blows
-the SRAM budget.
+success, 2 for usage errors (argparse), 3 for missing, unreadable,
+unwritable or malformed files, 4 for model checksum failures, 5 when the
+quantized model blows the SRAM budget.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .ingest import (
     WINDOW_LEN,
     BeatSet,
     ParseError,
-    annotation_summary,
     extract_beats,
     load_annotations,
     load_signal,
@@ -30,7 +29,7 @@ from .ingest import (
     split,
     summarize,
 )
-from .labels import CLASSES
+from .labels import CLASSES, OTHER
 from .nn import VARIANTS, DenseModel, predict_labels
 from .qrs import RPeakDetector
 from .quant import QuantizedModel, predict_labels_quantized
@@ -48,13 +47,14 @@ TRAIN_FRACTION = 0.67
 def cmd_ingest(args) -> int:
     if len(args.signal) != len(args.annotations):
         raise ParseError("need one --annotations per --signal")
+    spec = FilterSpec(args.sampling_rate)
     sets = []
     skipped_other = 0
     for sig_path, ann_path in zip(args.signal, args.annotations):
-        signal = load_signal(sig_path, args.sampling_rate)
+        samples = load_signal(sig_path)
         annotations = load_annotations(ann_path)
-        skipped_other += annotation_summary(annotations).get("OTHER", 0)
-        sets.append(extract_beats(signal, annotations))
+        skipped_other += sum(a.label == OTHER for a in annotations)
+        sets.append(extract_beats(samples, spec, annotations))
     beats = merge(sets)
     beats.save(args.out)
     print(summarize(beats))
@@ -124,22 +124,16 @@ def cmd_eval(args) -> int:
     beats = BeatSet.load(args.beats)
     beats = _select_split(beats, args.split, args.train_fraction, args.seed)
     if len(beats) == 0:
-        print("error: no beats to evaluate", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("no beats to evaluate")
     model = modelio.load_any(args.model)
+    needs = DenseModel if args.inference_mode == "default" else QuantizedModel
+    if not isinstance(model, needs):
+        kind = "a float" if needs is DenseModel else "an int8"
+        raise ValueError(f"{args.model}: {args.inference_mode} mode needs {kind} model file")
 
     if args.inference_mode == "default":
-        if isinstance(model, QuantizedModel):
-            print(
-                "error: default mode needs a float model file, got a quantized one",
-                file=sys.stderr,
-            )
-            return EXIT_INPUT
         predicted = predict_labels(model, beats.windows)
     else:
-        if isinstance(model, DenseModel):
-            model = quant.quantize_model(model)
-            print("(quantizing float model symmetrically on the fly)", file=sys.stderr)
         predicted = predict_labels_quantized(
             model, beats.windows, temporary=args.inference_mode == "temporary-dequantized"
         )
@@ -153,14 +147,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stream(args) -> int:
+    detector = RPeakDetector(FilterSpec(args.sampling_rate))
     qmodel = modelio.load_qmodel(args.qmodel)
     if qmodel.shapes[0][0] != WINDOW_LEN:
         raise ValueError(f"{args.qmodel}: model takes {qmodel.shapes[0][0]}-sample beats, "
                          f"the stream emits {WINDOW_LEN}-sample windows")
-    signal = load_signal(args.signal, args.sampling_rate)
-    detector = RPeakDetector(FilterSpec(args.sampling_rate))
     events = 0
-    for raw in signal.samples:
+    for raw in load_signal(args.signal):
         beat = detector.push(raw)
         if beat is None:
             continue
@@ -233,8 +226,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+    except OSError as exc:  # a file missing, a directory, or no permission
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
         return EXIT_INPUT
     except modelio.ChecksumError as exc:
         print(f"error: {exc}", file=sys.stderr)

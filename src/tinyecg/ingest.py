@@ -16,7 +16,6 @@ import tokenize
 import warnings
 import zipfile
 import zlib
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,24 +38,6 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Signal:
-    """Uniformly sampled single-lead voltage sequence."""
-
-    samples: np.ndarray
-    sampling_rate_hz: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "samples", np.asarray(self.samples, dtype=np.float64)
-        )
-        if self.sampling_rate_hz <= 0:
-            raise ValueError(f"sampling rate must be positive, got {self.sampling_rate_hz}")
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
-@dataclass(frozen=True)
 class Annotation:
     sample_index: int
     label: str  # N/S/V/F or OTHER
@@ -68,7 +49,8 @@ class BeatSet:
 
     `labels` holds integer codes into `tinyecg.labels.CLASSES`.
     `skipped` counts non-OTHER annotations whose window fell outside
-    the recording.
+    the recording. Construction checks every array: finite `(n, 61)`
+    windows and one code in 0-3 per window.
     """
 
     windows: np.ndarray  # (n, 61) float64
@@ -76,10 +58,17 @@ class BeatSet:
     skipped: int = 0
 
     def __post_init__(self):
-        self.windows = np.asarray(self.windows, dtype=np.float64).reshape(-1, WINDOW_LEN)
+        self.windows = np.asarray(self.windows, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
+        if self.windows.ndim != 2 or self.windows.shape[1] != WINDOW_LEN:
+            raise ValueError(f"beat windows must be (n, {WINDOW_LEN}), "
+                             f"got {self.windows.shape}")
         if self.windows.shape[0] != self.labels.shape[0]:
             raise ValueError("windows and labels disagree in length")
+        if not np.isfinite(self.windows).all():
+            raise ValueError("beat windows hold non-finite values")
+        if ((self.labels < 0) | (self.labels >= len(CLASSES))).any():
+            raise ValueError(f"label codes outside 0-{len(CLASSES) - 1}")
 
     def __len__(self) -> int:
         return self.labels.size
@@ -96,21 +85,20 @@ class BeatSet:
     @classmethod
     def load(cls, path) -> "BeatSet":
         """Read a `save`d file; ParseError names the path of an unreadable
-        archive, a missing array, non-finite windows or unknown label codes."""
+        archive, a missing array, or arrays the constructor rejects."""
         try:
             with np.load(path) as data:
-                beats = cls(data["windows"], data["labels"], int(data["skipped"]))
+                windows, labels, skipped = data["windows"], data["labels"], data["skipped"]
         except FileNotFoundError:
             raise
         except KeyError as exc:
             raise ParseError(f"{path}: {exc.args[0]}") from None
         except _ARCHIVE_ERRORS as exc:
             raise ParseError(f"{path}: unreadable beats file: {exc!r}") from None
-        if not np.isfinite(beats.windows).all():
-            raise ParseError(f"{path}: beat windows hold non-finite values")
-        if ((beats.labels < 0) | (beats.labels >= len(CLASSES))).any():
-            raise ParseError(f"{path}: label codes outside 0-{len(CLASSES) - 1}")
-        return beats
+        try:
+            return cls(windows, labels, int(skipped))
+        except (TypeError, ValueError) as exc:  # TypeError: a `skipped` of several values
+            raise ParseError(f"{path}: {exc}") from None
 
 
 def _rows(path) -> list[tuple[int, str, str]]:
@@ -129,8 +117,8 @@ def _rows(path) -> list[tuple[int, str, str]]:
     return out
 
 
-def load_signal(path, sampling_rate_hz: float) -> Signal:
-    """Parse an `index,value` export.
+def load_signal(path) -> np.ndarray:
+    """Parse an `index,value` export into float64 samples.
 
     Indices must count up by one from 0: a gap would shift every later
     annotation off its sample. Values must be finite.
@@ -156,7 +144,7 @@ def load_signal(path, sampling_rate_hz: float) -> Signal:
     if bad.size:
         lineno, _, b = rows[bad[0]]
         raise ParseError(f"{Path(path)}:{lineno}: non-finite sample value {b!r}")
-    return Signal(values, sampling_rate_hz)
+    return values
 
 
 def load_annotations(path) -> list[Annotation]:
@@ -179,7 +167,8 @@ def load_annotations(path) -> list[Annotation]:
     return out
 
 
-def extract_beats(signal: Signal, annotations: list[Annotation]) -> BeatSet:
+def extract_beats(samples: np.ndarray, spec: FilterSpec,
+                  annotations: list[Annotation]) -> BeatSet:
     """Preprocess the whole recording once, at its own rate, then window
     each labeled beat.
 
@@ -187,7 +176,7 @@ def extract_beats(signal: Signal, annotations: list[Annotation]) -> BeatSet:
     61-sample window is not fully inside the recording are counted in
     `BeatSet.skipped`.
     """
-    stream = preprocess(signal.samples, FilterSpec(signal.sampling_rate_hz))
+    stream = preprocess(samples, spec)
     windows, labels = [], []
     skipped = 0
     for ann in annotations:
@@ -200,13 +189,13 @@ def extract_beats(signal: Signal, annotations: list[Annotation]) -> BeatSet:
             continue
         windows.append(stream[lo : hi + 1])
         labels.append(LABEL_INDEX[ann.label])
-    return BeatSet(windows, labels, skipped)
+    return BeatSet(np.reshape(windows, (-1, WINDOW_LEN)), labels, skipped)
 
 
 def merge(beat_sets: list[BeatSet]) -> BeatSet:
     """Concatenate per-record beat sets (records are preprocessed independently)."""
     if not beat_sets:
-        return BeatSet([], [])
+        return BeatSet(np.empty((0, WINDOW_LEN)), [])
     return BeatSet(
         np.concatenate([b.windows for b in beat_sets]),
         np.concatenate([b.labels for b in beat_sets]),
@@ -256,8 +245,3 @@ def summarize(beats: BeatSet) -> str:
     if beats.skipped:
         lines.append(f"(skipped {beats.skipped} out-of-bounds annotation(s))")
     return "\n".join(lines)
-
-
-def annotation_summary(annotations: list[Annotation]) -> Counter:
-    """Counts per mapped class, including OTHER."""
-    return Counter(a.label for a in annotations)

@@ -166,6 +166,15 @@ class TestTrain:
         assert "learning_rate" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_output_path_a_directory_rejected(self, workspace, tmp_path, capsys):
+        # it used to end in an IsADirectoryError traceback
+        code = main([
+            "train", "--beats", str(workspace / "beats.npz"), "--epochs", "2",
+            "--out", str(tmp_path),
+        ])
+        assert code == EXIT_INPUT
+        assert f"{tmp_path}: Is a directory" in capsys.readouterr().err
+
     def test_softmax_variant_outputs_sum_to_one(self, workspace, tmp_path):
         out = tmp_path / "soft.tnn"
         assert main([
@@ -284,15 +293,21 @@ def _encrypted_flag(path):
     path.write_bytes(bytes(data))
 
 
+def _arrays(windows, labels, skipped=0):
+    # written with np.savez: `BeatSet` itself refuses to hold these arrays
+    return lambda path: np.savez(path, windows=windows, labels=labels, skipped=skipped)
+
+
 BAD_BEATS_FILES = {
     "unreadable": _truncated,
     "encrypted-flag": _encrypted_flag,
     "damaged-header": _damaged_header,
     "missing-array": lambda path: np.savez(path, labels=np.zeros(4, np.int64), skipped=0),
-    "non-finite": lambda path: BeatSet(
-        np.full((8, 61), np.nan), np.arange(8) % 4).save(path),
-    "label-codes": lambda path: BeatSet(
-        np.ones((8, 61)), [0, 1, 2, 3, 0, 1, 5, -1]).save(path),
+    "non-finite": _arrays(np.full((8, 61), np.nan), np.arange(8) % 4),
+    "label-codes": _arrays(np.ones((8, 61)), np.array([0, 1, 2, 3, 0, 1, 5, -1])),
+    # 122 values that used to load as two scrambled beats
+    "window-shape": _arrays(np.ones((61, 2)), np.array([0, 1])),
+    "skipped-shape": _arrays(np.ones((4, 61)), np.arange(4), skipped=np.array([1, 2])),
 }
 
 
@@ -368,6 +383,25 @@ class TestEval:
             "--beats", str(workspace / "beats.npz"),
         ])
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("mode", ["quantized", "temporary-dequantized"])
+    def test_float_model_in_int8_mode_rejected(self, workspace, capsys, mode):
+        # it used to quantize the float model on the fly
+        model = workspace / "model.tnn"
+        code = main([
+            "eval", "--model", str(model), "--beats", str(workspace / "beats.npz"),
+            "--inference-mode", mode,
+        ])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{model}: {mode} mode needs an int8 model file" in captured.err
+
+    def test_model_path_a_directory_rejected(self, workspace, tmp_path, capsys):
+        # it used to end in an IsADirectoryError traceback
+        code = main(["eval", "--model", str(tmp_path), "--beats", str(workspace / "beats.npz")])
+        assert code == EXIT_INPUT
+        assert f"{tmp_path}: Is a directory" in capsys.readouterr().err
 
     def test_empty_beats_file_rejected(self, workspace, tmp_path, capsys):
         from tinyecg.ingest import BeatSet

@@ -10,7 +10,6 @@ from tinyecg.ingest import (
     Annotation,
     BeatSet,
     ParseError,
-    Signal,
     extract_beats,
     load_annotations,
     load_signal,
@@ -28,47 +27,46 @@ def write(path, text):
 class TestLoadSignal:
     def test_two_samples(self, tmp_path):
         p = write(tmp_path / "s.csv", "0,0.1\n1,0.2\n")
-        sig = load_signal(p, 360.0)
-        assert sig.samples == pytest.approx([0.1, 0.2])
-        assert sig.sampling_rate_hz == 360.0
+        samples = load_signal(p)
+        assert samples.dtype == np.float64
+        assert samples == pytest.approx([0.1, 0.2])
 
     def test_malformed_value_names_line(self, tmp_path):
         p = write(tmp_path / "s.csv", "0,abc\n")
         with pytest.raises(ParseError, match=r"s\.csv:1"):
-            load_signal(p, 360.0)
+            load_signal(p)
 
     def test_empty_file_rejected(self, tmp_path):
         p = write(tmp_path / "s.csv", "")
         with pytest.raises(ParseError, match="no samples"):
-            load_signal(p, 360.0)
+            load_signal(p)
 
     def test_comments_and_crlf(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_bytes(b"# exported record\r\n0,1.0\r\n1,2.0\r\n\r\n")
-        sig = load_signal(p, 360.0)
-        assert sig.samples == pytest.approx([1.0, 2.0])
+        assert load_signal(p) == pytest.approx([1.0, 2.0])
 
     def test_non_monotonic_index_rejected(self, tmp_path):
         p = write(tmp_path / "s.csv", "0,1.0\n0,2.0\n")
         with pytest.raises(ParseError, match="not increasing"):
-            load_signal(p, 360.0)
+            load_signal(p)
 
     def test_index_gap_rejected(self, tmp_path):
         # a skipped index would shift every later annotation by one sample
         p = write(tmp_path / "s.csv", "0,1.0\n1,2.0\n3,3.0\n")
         with pytest.raises(ParseError, match=r"s\.csv:3: .*gap"):
-            load_signal(p, 360.0)
+            load_signal(p)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, tmp_path, value):
         p = write(tmp_path / "s.csv", f"# header\n0,1.0\n1,{value}\n2,3.0\n")
         with pytest.raises(ParseError, match=r"s\.csv:3: non-finite"):
-            load_signal(p, 360.0)
+            load_signal(p)
 
     def test_wrong_field_count_rejected(self, tmp_path):
         p = write(tmp_path / "s.csv", "0,1.0,extra\n")
         with pytest.raises(ParseError, match=r"s\.csv:1"):
-            load_signal(p, 360.0)
+            load_signal(p)
 
     def test_sample_count_equals_line_count(self, tmp_path):
         # full-record-sized export: one sample per line, nothing dropped
@@ -76,8 +74,7 @@ class TestLoadSignal:
         p = tmp_path / "big.csv"
         with open(p, "w") as fh:
             fh.writelines(f"{i},{(i % 7) * 0.01}\n" for i in range(n))
-        sig = load_signal(p, 360.0)
-        assert len(sig) == n
+        assert len(load_signal(p)) == n
 
 
 class TestLoadAnnotations:
@@ -102,45 +99,42 @@ class TestLoadAnnotations:
 
 
 class TestExtractBeats:
-    def _signal(self, n=200):
-        rng = np.random.default_rng(0)
-        return Signal(rng.uniform(-1, 1, n), 360.0)
+    def _samples(self, n=200):
+        return np.random.default_rng(0).uniform(-1, 1, n)
 
-    def test_window_fits_exactly(self):
-        sig = Signal(np.random.default_rng(1).uniform(-1, 1, 61), 360.0)
-        out = extract_beats(sig, [Annotation(30, "N")])
+    def test_window_fits_exactly(self, spec):
+        samples = np.random.default_rng(1).uniform(-1, 1, 61)
+        out = extract_beats(samples, spec, [Annotation(30, "N")])
         assert len(out) == 1
         assert out.skipped == 0
         assert out.windows.shape == (1, 61)
 
-    def test_window_underflow_skipped(self):
-        sig = Signal(np.random.default_rng(1).uniform(-1, 1, 61), 360.0)
-        out = extract_beats(sig, [Annotation(29, "N")])
+    def test_window_underflow_skipped(self, spec):
+        samples = np.random.default_rng(1).uniform(-1, 1, 61)
+        out = extract_beats(samples, spec, [Annotation(29, "N")])
         assert len(out) == 0
         assert out.skipped == 1
 
-    def test_window_overflow_skipped(self):
-        sig = self._signal(100)
-        out = extract_beats(sig, [Annotation(70, "V")])
+    def test_window_overflow_skipped(self, spec):
+        out = extract_beats(self._samples(100), spec, [Annotation(70, "V")])
         assert len(out) == 0 and out.skipped == 1
 
-    def test_other_dropped_without_skip(self):
-        sig = self._signal()
-        out = extract_beats(sig, [Annotation(100, OTHER), Annotation(100, "N")])
+    def test_other_dropped_without_skip(self, spec):
+        out = extract_beats(self._samples(), spec,
+                            [Annotation(100, OTHER), Annotation(100, "N")])
         assert len(out) == 1 and out.skipped == 0
 
     def test_windows_match_whole_signal_preprocess(self, spec):
         from tinyecg.dsp import preprocess
 
-        sig = self._signal(300)
-        out = extract_beats(sig, [Annotation(150, "S")])
-        expected = preprocess(sig.samples, spec)[120:181]
+        samples = self._samples(300)
+        out = extract_beats(samples, spec, [Annotation(150, "S")])
+        expected = preprocess(samples, spec)[120:181]
         np.testing.assert_allclose(out.windows[0], expected)
         assert (out.windows[0] >= 0).all()
         assert np.isfinite(out.windows).all()
 
-    def test_counts_accounting(self):
-        sig = self._signal(300)
+    def test_counts_accounting(self, spec):
         anns = [
             Annotation(10, "N"),   # underflow
             Annotation(150, "N"),
@@ -148,7 +142,7 @@ class TestExtractBeats:
             Annotation(295, "F"),  # overflow
             Annotation(200, OTHER),
         ]
-        out = extract_beats(sig, anns)
+        out = extract_beats(self._samples(300), spec, anns)
         kept = sum(1 for a in anns if a.label != OTHER)
         assert len(out) + out.skipped == kept
         assert out.counts == {"N": 1, "S": 0, "V": 1, "F": 0}
@@ -253,12 +247,12 @@ class TestBeatSetRoundTrip:
         assert loaded.labels.tobytes() == beats.labels.tobytes()
         assert loaded.skipped == 7
 
-    def test_empty_sets_keep_the_window_shape(self):
-        sig = Signal(np.zeros(61), 360.0)
+    def test_empty_sets_keep_the_window_shape(self, spec):
         singletons = make_beatset([1, 1, 1, 1])
         with pytest.warns(UserWarning):
             _, no_test = split(singletons, 0.5)
-        for empty in (extract_beats(sig, [Annotation(10, "N")]), merge([]), no_test):
+        for empty in (extract_beats(np.zeros(61), spec, [Annotation(10, "N")]), merge([]),
+                      no_test):
             assert empty.windows.shape == (0, 61) and empty.windows.dtype == np.float64
             assert empty.labels.shape == (0,) and empty.labels.dtype == np.int64
 
@@ -269,3 +263,24 @@ class TestBeatSetRoundTrip:
         both = merge([a, b])
         assert both.counts == {"N": 2, "S": 3, "V": 0, "F": 0}
         assert both.skipped == 3
+
+
+class TestBeatSetChecks:
+    def test_label_codes_outside_the_classes_rejected(self):
+        # such beats used to count in `len` but in no class, and `split`
+        # dropped them without a word
+        with pytest.raises(ValueError, match="label codes outside 0-3"):
+            BeatSet(np.zeros((6, 61)), [0, 0, 1, 1, 7, -1])
+
+    @pytest.mark.parametrize("shape", [(61, 2), (2, 61, 1), (122,), (2, 60)])
+    def test_windows_of_another_shape_rejected(self, shape):
+        # a (61, 2) array used to be reshaped into two scrambled beats
+        with pytest.raises(ValueError, match=r"must be \(n, 61\)"):
+            BeatSet(np.zeros(shape), [0, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_windows_rejected(self, bad):
+        windows = np.zeros((2, 61))
+        windows[1, 30] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            BeatSet(windows, [0, 1])
