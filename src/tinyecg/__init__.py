@@ -9,7 +9,6 @@ training, quantization, exact FLOPs/byte accounting and evaluation.
 
 from .dsp import FilterSpec, preprocess
 from .ingest import (
-    Annotation,
     BeatSet,
     extract_beats,
     load_annotations,

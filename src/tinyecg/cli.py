@@ -29,7 +29,7 @@ from .ingest import (
     split,
     summarize,
 )
-from .labels import CLASSES, OTHER
+from .labels import CLASSES
 from .nn import VARIANTS, DenseModel, predict_labels
 from .qrs import RPeakDetector
 from .quant import QuantizedModel, predict_labels_quantized
@@ -53,7 +53,7 @@ def cmd_ingest(args) -> int:
     for sig_path, ann_path in zip(args.signal, args.annotations):
         samples = load_signal(sig_path)
         annotations = load_annotations(ann_path)
-        skipped_other += sum(a.label == OTHER for a in annotations)
+        skipped_other += np.count_nonzero(annotations[:, 1] < 0)
         sets.append(extract_beats(samples, spec, annotations))
     beats = merge(sets)
     beats.save(args.out)

@@ -6,8 +6,11 @@ Input files are plain-text CSV exports of PhysioNet records:
     annotation file  one `index,symbol` line per annotated beat
 
 Lines starting with `#` are comments; LF and CRLF both accepted.
-Beats are 61-sample windows of the preprocessed signal centered on the
-annotated R-peak index ([index-30, index+30] inclusive).
+`load_annotations` returns an `(n, 2)` int64 array, one row per line:
+the sample index, then the symbol's class code (`labels.SYMBOL_CODE`,
+-1 outside the four classes). Beats are 61-sample windows of the
+preprocessed signal centered on the annotated R-peak index
+([index-30, index+30] inclusive), labeled with that code.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import FilterSpec, preprocess
-from .labels import CLASSES, LABEL_INDEX, OTHER, aami_class
+from .labels import CLASSES, SYMBOL_CODE
 
 SAMPLING_RATE_HZ = 360.0  # MIT-BIH, the deployed rate
 WINDOW_HALF = 30
 WINDOW_LEN = 2 * WINDOW_HALF + 1
+_MAX_INDEX = np.iinfo(np.int64).max
 # What np.load raises on a damaged archive, seen by flipping each byte of
 # a saved beats file in turn.
 _ARCHIVE_ERRORS = (EOFError, NotImplementedError, OSError, RuntimeError, ValueError,
@@ -37,20 +41,15 @@ class ParseError(ValueError):
     """Malformed input file; message carries path and line number."""
 
 
-@dataclass(frozen=True)
-class Annotation:
-    sample_index: int
-    label: str  # N/S/V/F or OTHER
-
-
 @dataclass
 class BeatSet:
     """Labeled beat windows stored as parallel arrays.
 
     `labels` holds integer codes into `tinyecg.labels.CLASSES`.
-    `skipped` counts non-OTHER annotations whose window fell outside
-    the recording. Construction checks every array: finite `(n, 61)`
-    windows and one code in 0-3 per window.
+    `skipped` counts coded annotations whose window fell outside the
+    recording. Construction checks every array: finite `(n, 61)`
+    windows, a 1-D integer array of one code in 0-3 per window, and a
+    non-negative integer `skipped`.
     """
 
     windows: np.ndarray  # (n, 61) float64
@@ -59,7 +58,13 @@ class BeatSet:
 
     def __post_init__(self):
         self.windows = np.asarray(self.windows, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
+        labels, skipped = np.asarray(self.labels), np.asarray(self.skipped)
+        if labels.ndim != 1 or labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must be a 1-D integer array, "
+                             f"got {labels.dtype} {labels.shape}")
+        if skipped.shape != () or skipped.dtype.kind not in "iu" or skipped < 0:
+            raise ValueError(f"skipped must be a non-negative integer, got {self.skipped!r}")
+        self.labels, self.skipped = labels.astype(np.int64, copy=False), int(skipped)
         if self.windows.ndim != 2 or self.windows.shape[1] != WINDOW_LEN:
             raise ValueError(f"beat windows must be (n, {WINDOW_LEN}), "
                              f"got {self.windows.shape}")
@@ -96,8 +101,8 @@ class BeatSet:
         except _ARCHIVE_ERRORS as exc:
             raise ParseError(f"{path}: unreadable beats file: {exc!r}") from None
         try:
-            return cls(windows, labels, int(skipped))
-        except (TypeError, ValueError) as exc:  # TypeError: a `skipped` of several values
+            return cls(windows, labels, skipped)
+        except (TypeError, ValueError) as exc:  # TypeError: structured windows
             raise ParseError(f"{path}: {exc}") from None
 
 
@@ -147,55 +152,48 @@ def load_signal(path) -> np.ndarray:
     return values
 
 
-def load_annotations(path) -> list[Annotation]:
-    """Parse an `index,symbol` export, grouping symbols into AAMI classes.
+def load_annotations(path) -> np.ndarray:
+    """Parse an `index,symbol` export into an `(n, 2)` int64 array.
 
-    Symbols outside the four kept classes map to OTHER; callers drop
-    those downstream (see `extract_beats`).
+    Each row holds the sample index, then the symbol's class code; a
+    symbol outside the four classes codes as -1, which `extract_beats`
+    drops.
     """
-    out = []
-    for lineno, a, b in _rows(path):
+    rows = _rows(path)
+    out = np.empty((len(rows), 2), dtype=np.int64)
+    for pos, (lineno, a, b) in enumerate(rows):
         try:
             idx = int(a)
         except ValueError as exc:
             raise ParseError(f"{Path(path)}:{lineno}: {exc}") from None
-        if idx < 0:
-            raise ParseError(f"{Path(path)}:{lineno}: negative sample index {idx}")
+        if not 0 <= idx <= _MAX_INDEX:
+            raise ParseError(f"{Path(path)}:{lineno}: sample index {idx} out of range")
         if not b:
             raise ParseError(f"{Path(path)}:{lineno}: empty annotation symbol")
-        out.append(Annotation(idx, aami_class(b)))
+        out[pos] = idx, SYMBOL_CODE.get(b, -1)
     return out
 
 
 def extract_beats(samples: np.ndarray, spec: FilterSpec,
-                  annotations: list[Annotation]) -> BeatSet:
+                  annotations: np.ndarray) -> BeatSet:
     """Preprocess the whole recording once, at its own rate, then window
-    each labeled beat.
+    each coded beat of a `load_annotations` array.
 
-    OTHER annotations are dropped silently; kept annotations whose
+    Annotations coded -1 are dropped silently; coded ones whose
     61-sample window is not fully inside the recording are counted in
     `BeatSet.skipped`.
     """
     stream = preprocess(samples, spec)
-    windows, labels = [], []
-    skipped = 0
-    for ann in annotations:
-        if ann.label == OTHER:
-            continue
-        lo = ann.sample_index - WINDOW_HALF
-        hi = ann.sample_index + WINDOW_HALF
-        if lo < 0 or hi >= stream.size:
-            skipped += 1
-            continue
-        windows.append(stream[lo : hi + 1])
-        labels.append(LABEL_INDEX[ann.label])
-    return BeatSet(np.reshape(windows, (-1, WINDOW_LEN)), labels, skipped)
+    index, code = annotations[annotations[:, 1] >= 0].T
+    inside = (index >= WINDOW_HALF) & (index < stream.size - WINDOW_HALF)
+    rows = index[inside, None] + np.arange(-WINDOW_HALF, WINDOW_HALF + 1)
+    return BeatSet(stream[rows], code[inside], index.size - rows.shape[0])
 
 
 def merge(beat_sets: list[BeatSet]) -> BeatSet:
     """Concatenate per-record beat sets (records are preprocessed independently)."""
     if not beat_sets:
-        return BeatSet(np.empty((0, WINDOW_LEN)), [])
+        return BeatSet(np.empty((0, WINDOW_LEN)), np.empty(0, np.int64))
     return BeatSet(
         np.concatenate([b.windows for b in beat_sets]),
         np.concatenate([b.labels for b in beat_sets]),

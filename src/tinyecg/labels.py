@@ -1,7 +1,9 @@
 """Beat class vocabulary and the AAMI annotation-symbol grouping.
 
-Four classes are kept for classification; everything else (paced,
-unclassifiable, non-beat annotations) collapses to ``OTHER`` and is
+Four classes are kept for classification, and a beat's class is its
+integer code into `CLASSES` from the annotation file to the report.
+`SYMBOL_CODE` holds the code of each symbol in the four classes; any
+other symbol (paced, unclassifiable, non-beat) codes as -1 and is
 dropped before windowing.
 """
 
@@ -9,7 +11,6 @@ from __future__ import annotations
 
 # Fixed class order; model outputs and confusion matrices follow it.
 CLASSES = ("N", "S", "V", "F")
-OTHER = "OTHER"
 
 LABEL_INDEX = {c: i for i, c in enumerate(CLASSES)}
 
@@ -25,9 +26,4 @@ AAMI_GROUPS = {
     "F": frozenset("F"),
 }
 
-_SYMBOL_TO_CLASS = {sym: cls for cls, syms in AAMI_GROUPS.items() for sym in syms}
-
-
-def aami_class(symbol: str) -> str:
-    """Map a raw annotation symbol to N/S/V/F, or OTHER if outside the four."""
-    return _SYMBOL_TO_CLASS.get(symbol, OTHER)
+SYMBOL_CODE = {sym: LABEL_INDEX[cls] for cls, syms in AAMI_GROUPS.items() for sym in syms}

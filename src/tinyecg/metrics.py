@@ -1,5 +1,8 @@
 """Confusion matrix and per-class precision / recall / F1 reporting.
 
+`confusion` tallies integer class codes (`tinyecg.labels.CLASSES` order)
+into a plain `(4, 4)` int64 count array, which `scores` reads.
+
 Zero-denominator scores (a class never predicted, or absent from the
 truth) are defined as 0 and flagged in the report rather than raised,
 since rare classes legitimately occur in the evaluation sets.
@@ -11,55 +14,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .labels import CLASSES, LABEL_INDEX
+from .labels import CLASSES
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Rows are ground truth, columns are predictions, both in N,S,V,F order."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        n = len(CLASSES)
-        if counts.shape != (n, n):
-            raise ValueError(f"expected {n}x{n} counts, got {counts.shape}")
-        if (counts < 0).any():
-            raise ValueError("counts must be non-negative")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def support(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-
-def _codes(labels) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.dtype.kind in "iu":
-        codes = labels.astype(np.int64)
-    else:
-        try:
-            codes = np.array([LABEL_INDEX[str(l)] for l in labels], dtype=np.int64)
-        except KeyError as exc:
-            raise ValueError(f"unknown class label {exc.args[0]!r}") from None
-    if codes.size and (codes.min() < 0 or codes.max() >= len(CLASSES)):
-        raise ValueError("class codes out of range")
-    return codes
-
-
-def confusion(truth, predicted) -> ConfusionMatrix:
-    """Tally (truth, predicted) pairs; accepts label strings or class codes."""
-    t, p = _codes(truth), _codes(predicted)
+def confusion(truth, predicted) -> np.ndarray:
+    """Tally (truth, predicted) pairs of integer class codes into `(4, 4)`
+    int64 counts: rows are ground truth, columns are predictions, both in
+    N,S,V,F order."""
+    t, p = np.asarray(truth), np.asarray(predicted)
     if t.shape != p.shape:
         raise ValueError(f"length mismatch: {t.shape} vs {p.shape}")
+    if t.dtype.kind not in "iu" or p.dtype.kind not in "iu":
+        raise ValueError(f"class codes must be integers, got {t.dtype} and {p.dtype}")
     n = len(CLASSES)
-    counts = np.bincount(t * n + p, minlength=n * n).reshape(n, n)
-    return ConfusionMatrix(counts)
+    if ((t < 0) | (t >= n) | (p < 0) | (p >= n)).any():
+        raise ValueError("class codes out of range")
+    return np.bincount((t * n + p).astype(np.int64, copy=False), minlength=n * n).reshape(n, n)
 
 
 @dataclass(frozen=True)
@@ -78,15 +48,15 @@ class EvalReport:
     flags: tuple[str, ...] = field(default_factory=tuple)
 
 
-def scores(cm: ConfusionMatrix) -> EvalReport:
-    """Precision TP/(TP+FP), recall TP/(TP+FN), F1 = harmonic mean.
+def scores(counts: np.ndarray) -> EvalReport:
+    """Precision TP/(TP+FP), recall TP/(TP+FN), F1 = harmonic mean, from
+    `confusion`'s counts.
 
     Macro averages weight classes equally; weighted averages use the
     truth support. For single-label evaluation the weighted recall is
     identical to accuracy.
     """
-    counts = cm.counts
-    total = cm.total
+    total = int(counts.sum())
     if total == 0:
         raise ValueError("empty confusion matrix")
     tp = np.diag(counts).astype(np.float64)

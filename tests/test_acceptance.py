@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from tinyecg.ingest import BeatSet, split
-from tinyecg.metrics import ConfusionMatrix, confusion, scores
+from tinyecg.metrics import confusion, scores
 from tinyecg.nn import VARIANTS, forward, glorot_init, unflatten
 from tinyecg.quant import (
     QuantParams,
@@ -165,7 +165,7 @@ def test_criterion_5_metric_identities():
             counts = rng.integers(0, 400, (4, 4))
             if counts.sum() == 0:
                 continue
-            report = scores(ConfusionMatrix(counts))
+            report = scores(counts)
             if abs(report.accuracy - report.weighted_recall) >= 1e-12:
                 identity_ok = False
                 break
@@ -175,7 +175,7 @@ def test_criterion_5_metric_identities():
         cm = reconstruct_confusion(
             REFERENCE_EVAL["support"], REFERENCE_EVAL["precision"], REFERENCE_EVAL["recall"]
         )
-        report = scores(ConfusionMatrix(cm))
+        report = scores(cm)
         published_ok = (
             np.allclose(report.f1, REFERENCE_EVAL["f1"], atol=5e-7)
             and abs(report.macro_f1 - REFERENCE_EVAL["macro_f1"]) < 5e-7

@@ -1,9 +1,12 @@
 import json
+import os
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tinyecg
 from tinyecg.cli import EXIT_BUDGET, EXIT_CHECKSUM, EXIT_INPUT, EXIT_OK, main
 from tinyecg.ingest import BeatSet
 from tinyecg.modelio import save_model, save_qmodel
@@ -49,6 +52,10 @@ def workspace(tmp_path_factory):
     return root
 
 
+# Child processes import the tinyecg that this process imported.
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(tinyecg.__file__).parents[1]))
+
+
 class TestIngest:
     def test_summary_counts(self, workspace, capsys):
         main([
@@ -67,6 +74,28 @@ class TestIngest:
         ])
         assert code == EXIT_INPUT
         assert "nope.csv" in capsys.readouterr().err
+
+    def test_comment_only_annotations_write_an_empty_set(self, workspace, tmp_path, capsys):
+        ann = tmp_path / "ann.csv"
+        ann.write_text("# no beats annotated\n")
+        assert main([
+            "ingest", "--signal", str(workspace / "sig.csv"),
+            "--annotations", str(ann), "--out", str(tmp_path / "empty.npz"),
+        ]) == EXIT_OK
+        assert "dropped" not in capsys.readouterr().out
+        beats = BeatSet.load(tmp_path / "empty.npz")
+        assert beats.windows.shape == (0, 61) and beats.labels.shape == (0,)
+        assert beats.skipped == 0
+
+    def test_uncoded_annotations_counted_as_dropped(self, workspace, tmp_path, capsys):
+        ann = tmp_path / "ann.csv"
+        ann.write_text("400,N\n500,Q\n600,/\n700,V\n")
+        assert main([
+            "ingest", "--signal", str(workspace / "sig.csv"),
+            "--annotations", str(ann), "--out", str(tmp_path / "two.npz"),
+        ]) == EXIT_OK
+        assert "(dropped 2 annotation(s) outside the four classes)" in capsys.readouterr().out
+        assert BeatSet.load(tmp_path / "two.npz").counts == {"N": 1, "S": 0, "V": 1, "F": 0}
 
     def test_malformed_file_exit_code(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -308,6 +337,12 @@ BAD_BEATS_FILES = {
     # 122 values that used to load as two scrambled beats
     "window-shape": _arrays(np.ones((61, 2)), np.array([0, 1])),
     "skipped-shape": _arrays(np.ones((4, 61)), np.arange(4), skipped=np.array([1, 2])),
+    # each of these four used to load: labels truncated or flattened,
+    # `skipped` negative or truncated
+    "float-labels": _arrays(np.ones((2, 61)), np.array([0.7, 3.9])),
+    "labels-shape": _arrays(np.ones((2, 61)), np.array([[0], [3]])),
+    "negative-skipped": _arrays(np.ones((2, 61)), np.array([0, 3]), skipped=-3),
+    "fractional-skipped": _arrays(np.ones((2, 61)), np.array([0, 3]), skipped=2.7),
 }
 
 
@@ -544,7 +579,8 @@ def test_console_entry_point():
     import sys
 
     proc = subprocess.run(
-        [sys.executable, "-m", "tinyecg.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "tinyecg.cli", "--help"], capture_output=True, text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     for sub in ("ingest", "train", "quantize", "eval", "stream"):
@@ -604,7 +640,7 @@ def _scipy_loaded(work, *commands) -> bool:
     import sys
 
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(work), *commands],
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=True, env=CHILD_ENV)
     codes, loaded = proc.stdout.rsplit(" ", 1)
     assert codes == str([EXIT_OK] * len(commands)), proc.stderr
     return loaded.strip() == "True"

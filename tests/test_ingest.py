@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tinyecg.dsp import FilterSpec, preprocess
 from tinyecg.ingest import (
-    Annotation,
     BeatSet,
     ParseError,
     extract_beats,
@@ -16,12 +16,18 @@ from tinyecg.ingest import (
     merge,
     split,
 )
-from tinyecg.labels import CLASSES, OTHER
+from tinyecg.labels import AAMI_GROUPS, CLASSES, LABEL_INDEX, SYMBOL_CODE
 
 
 def write(path, text):
     path.write_text(text)
     return path
+
+
+def annotations(*pairs):
+    """(index, class) pairs as `load_annotations` codes them; class None is -1."""
+    rows = [(i, -1 if c is None else LABEL_INDEX[c]) for i, c in pairs]
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
 class TestLoadSignal:
@@ -81,21 +87,77 @@ class TestLoadAnnotations:
     def test_kept_classes(self, tmp_path):
         p = write(tmp_path / "a.csv", "100,N\n300,V\n")
         anns = load_annotations(p)
-        assert anns == [Annotation(100, "N"), Annotation(300, "V")]
+        assert anns.dtype == np.int64
+        np.testing.assert_array_equal(anns, annotations((100, "N"), (300, "V")))
 
     def test_paced_and_unknown_map_to_other(self, tmp_path):
         p = write(tmp_path / "a.csv", "250,Q\n260,/\n270,~\n")
-        assert [a.label for a in load_annotations(p)] == [OTHER, OTHER, OTHER]
+        np.testing.assert_array_equal(load_annotations(p)[:, 1], [-1, -1, -1])
 
     def test_aami_grouping(self, tmp_path):
         p = write(tmp_path / "a.csv", "1,L\n2,R\n3,e\n4,j\n5,A\n6,a\n7,J\n8,S\n9,E\n10,F\n")
-        labels = [a.label for a in load_annotations(p)]
-        assert labels == ["N", "N", "N", "N", "S", "S", "S", "S", "V", "F"]
+        codes = load_annotations(p)[:, 1]
+        np.testing.assert_array_equal(codes, [LABEL_INDEX[c] for c in "NNNNSSSSVF"])
+
+    def test_one_row_per_line(self, tmp_path):
+        p = write(tmp_path / "a.csv", "# r\n5,N\n5,N\n7,Q\n\n9,V\n")
+        assert len(load_annotations(p)) == 4
+
+    def test_comment_only_file_gives_no_rows(self, tmp_path):
+        p = write(tmp_path / "a.csv", "# no beats annotated\n\n")
+        anns = load_annotations(p)
+        assert anns.shape == (0, 2) and anns.dtype == np.int64
 
     def test_negative_index_rejected(self, tmp_path):
         p = write(tmp_path / "a.csv", "-5,N\n")
         with pytest.raises(ParseError):
             load_annotations(p)
+
+    def test_index_beyond_int64_rejected(self, tmp_path):
+        p = write(tmp_path / "a.csv", f"5,N\n{2**63},N\n")
+        with pytest.raises(ParseError, match=r"a\.csv:2: .*out of range"):
+            load_annotations(p)
+
+
+class TestSymbolCode:
+    def test_every_aami_symbol_codes_its_class(self):
+        for cls, symbols in AAMI_GROUPS.items():
+            for sym in symbols:
+                assert SYMBOL_CODE[sym] == LABEL_INDEX[cls]
+        assert len(SYMBOL_CODE) == sum(map(len, AAMI_GROUPS.values()))
+
+    @pytest.mark.parametrize("symbol", list("/fQ~|+x![]\""))
+    def test_non_beat_symbols_have_no_code(self, symbol, tmp_path):
+        assert symbol not in SYMBOL_CODE
+        p = write(tmp_path / "a.csv", f"100,{symbol}\n")
+        np.testing.assert_array_equal(load_annotations(p), [[100, -1]])
+
+
+def reference_extract(stream, anns):
+    """The oracle: window each coded annotation in its own loop pass."""
+    windows, labels, skipped = [], [], 0
+    for idx, code in anns.tolist():
+        if code < 0:
+            continue
+        if idx - 30 < 0 or idx + 30 >= stream.size:
+            skipped += 1
+            continue
+        windows.append(stream[idx - 30 : idx + 31])
+        labels.append(code)
+    return np.reshape(windows, (-1, 61)), labels, skipped
+
+
+@st.composite
+def recordings(draw):
+    """A random-length recording, and annotations that hit the window edges,
+    code -1 and repeat indices."""
+    n = draw(st.integers(5, 400))  # the derivative needs five samples
+    edges = st.sampled_from([i for i in (0, 29, 30, n - 31, n - 30, n - 1, n) if i >= 0])
+    rows = draw(st.lists(st.tuples(st.one_of(edges, st.integers(0, n + 40)),
+                                   st.integers(-1, 3)), max_size=30))
+    rows += rows[: draw(st.integers(0, len(rows)))]
+    samples = np.random.default_rng(draw(st.integers(0, 2**16))).uniform(-1, 1, n)
+    return samples, np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
 class TestExtractBeats:
@@ -104,48 +166,57 @@ class TestExtractBeats:
 
     def test_window_fits_exactly(self, spec):
         samples = np.random.default_rng(1).uniform(-1, 1, 61)
-        out = extract_beats(samples, spec, [Annotation(30, "N")])
+        out = extract_beats(samples, spec, annotations((30, "N")))
         assert len(out) == 1
         assert out.skipped == 0
         assert out.windows.shape == (1, 61)
 
     def test_window_underflow_skipped(self, spec):
         samples = np.random.default_rng(1).uniform(-1, 1, 61)
-        out = extract_beats(samples, spec, [Annotation(29, "N")])
+        out = extract_beats(samples, spec, annotations((29, "N")))
         assert len(out) == 0
         assert out.skipped == 1
 
     def test_window_overflow_skipped(self, spec):
-        out = extract_beats(self._samples(100), spec, [Annotation(70, "V")])
+        out = extract_beats(self._samples(100), spec, annotations((70, "V")))
         assert len(out) == 0 and out.skipped == 1
 
     def test_other_dropped_without_skip(self, spec):
-        out = extract_beats(self._samples(), spec,
-                            [Annotation(100, OTHER), Annotation(100, "N")])
+        out = extract_beats(self._samples(), spec, annotations((100, None), (100, "N")))
         assert len(out) == 1 and out.skipped == 0
 
     def test_windows_match_whole_signal_preprocess(self, spec):
-        from tinyecg.dsp import preprocess
-
         samples = self._samples(300)
-        out = extract_beats(samples, spec, [Annotation(150, "S")])
+        out = extract_beats(samples, spec, annotations((150, "S")))
         expected = preprocess(samples, spec)[120:181]
         np.testing.assert_allclose(out.windows[0], expected)
         assert (out.windows[0] >= 0).all()
         assert np.isfinite(out.windows).all()
 
     def test_counts_accounting(self, spec):
-        anns = [
-            Annotation(10, "N"),   # underflow
-            Annotation(150, "N"),
-            Annotation(160, "V"),
-            Annotation(295, "F"),  # overflow
-            Annotation(200, OTHER),
-        ]
+        anns = annotations(
+            (10, "N"),   # underflow
+            (150, "N"),
+            (160, "V"),
+            (295, "F"),  # overflow
+            (200, None),
+        )
         out = extract_beats(self._samples(300), spec, anns)
-        kept = sum(1 for a in anns if a.label != OTHER)
+        kept = np.count_nonzero(anns[:, 1] >= 0)
         assert len(out) + out.skipped == kept
         assert out.counts == {"N": 1, "S": 0, "V": 1, "F": 0}
+
+    @given(recordings())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_annotation_loop(self, recording):
+        samples, anns = recording
+        spec = FilterSpec(360.0)
+        windows, labels, skipped = reference_extract(preprocess(samples, spec), anns)
+        out = extract_beats(samples, spec, anns)
+        np.testing.assert_array_equal(out.windows, windows)
+        assert out.labels.dtype == np.int64
+        np.testing.assert_array_equal(out.labels, labels)
+        assert out.skipped == skipped
 
 
 def make_beatset(counts, seed=0):
@@ -251,7 +322,7 @@ class TestBeatSetRoundTrip:
         singletons = make_beatset([1, 1, 1, 1])
         with pytest.warns(UserWarning):
             _, no_test = split(singletons, 0.5)
-        for empty in (extract_beats(np.zeros(61), spec, [Annotation(10, "N")]), merge([]),
+        for empty in (extract_beats(np.zeros(61), spec, annotations((10, "N"))), merge([]),
                       no_test):
             assert empty.windows.shape == (0, 61) and empty.windows.dtype == np.float64
             assert empty.labels.shape == (0,) and empty.labels.dtype == np.int64
@@ -266,6 +337,25 @@ class TestBeatSetRoundTrip:
 
 
 class TestBeatSetChecks:
+    @pytest.mark.parametrize("labels", [np.array([0.7, 3.9]), np.array([[0], [3]]),
+                                        np.array([True, False]), []])
+    def test_labels_other_than_1d_integers_rejected(self, labels):
+        # float codes used to load truncated ([0.7, 3.9] as [0, 3]) and a
+        # (2, 1) array flattened, both without a word
+        with pytest.raises(ValueError, match="labels must be a 1-D integer array"):
+            BeatSet(np.zeros((len(labels), 61)), labels)
+
+    @pytest.mark.parametrize("skipped", [-3, 2.7, np.array([1, 2]), True])
+    def test_skipped_other_than_a_non_negative_integer_rejected(self, skipped):
+        # -3 used to load and print "(skipped -3 ...)", and 2.7 became 2
+        with pytest.raises(ValueError, match="skipped must be a non-negative integer"):
+            BeatSet(np.zeros((2, 61)), np.array([0, 1]), skipped)
+
+    def test_integer_skipped_kept_as_int(self):
+        beats = BeatSet(np.zeros((2, 61)), np.array([0, 1], np.int32), np.int64(4))
+        assert type(beats.skipped) is int and beats.skipped == 4
+        assert beats.labels.dtype == np.int64
+
     def test_label_codes_outside_the_classes_rejected(self):
         # such beats used to count in `len` but in no class, and `split`
         # dropped them without a word

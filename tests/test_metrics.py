@@ -4,35 +4,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tinyecg.labels import CLASSES
-from tinyecg.metrics import (
-    ConfusionMatrix,
-    confusion,
-    format_report,
-    scores,
-)
+from tinyecg.labels import CLASSES, LABEL_INDEX
+from tinyecg.metrics import confusion, format_report, scores
 
 count_matrices = arrays(
     np.int64, (4, 4), elements=st.integers(0, 500)
 ).filter(lambda m: m.sum() > 0)
 
 
+def codes(classes: str) -> np.ndarray:
+    return np.array([LABEL_INDEX[c] for c in classes], dtype=np.int64)
+
+
 class TestConfusion:
     def test_diagonal_for_perfect_predictions(self):
-        truth = ["N", "S", "V", "F", "N", "V"]
+        truth = codes("NSVFNV")
         cm = confusion(truth, truth)
-        assert np.trace(cm.counts) == 6
-        assert cm.counts.sum() == 6
+        assert cm.shape == (4, 4) and cm.dtype == np.int64
+        assert np.trace(cm) == 6
+        assert cm.sum() == 6
 
     def test_single_off_diagonal(self):
-        cm = confusion(["N"], ["S"])
+        cm = confusion(codes("N"), codes("S"))
         expected = np.zeros((4, 4), dtype=np.int64)
         expected[0, 1] = 1
-        np.testing.assert_array_equal(cm.counts, expected)
+        np.testing.assert_array_equal(cm, expected)
 
     def test_hand_tallied_fixture(self):
-        truth = ["N", "N", "N", "S", "S", "V", "V", "V", "F", "N", "S", "F"]
-        pred  = ["N", "V", "N", "S", "N", "V", "V", "F", "F", "N", "S", "N"]
+        truth = codes("NNNSSVVVFNSF")
+        pred  = codes("NVNSNVVFFNSN")
         cm = confusion(truth, pred)
         # tallied by hand from the pairs above
         expected = np.array(
@@ -44,25 +44,41 @@ class TestConfusion:
             ],
             dtype=np.int64,
         )
-        np.testing.assert_array_equal(cm.counts, expected)
+        np.testing.assert_array_equal(cm, expected)
 
     def test_integer_codes_accepted(self):
-        cm = confusion([0, 1, 2, 3], [0, 1, 2, 3])
-        assert np.trace(cm.counts) == 4
+        cm = confusion([0, 1, 2, 3], np.array([0, 1, 2, 3], dtype=np.uint8))
+        assert np.trace(cm) == 4
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
-            confusion(["N", "S"], ["N"])
+            confusion(codes("NS"), codes("N"))
 
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            confusion(["N", "X"], ["N", "N"])
+    @pytest.mark.parametrize("bad, match", [
+        (["N", "S"], "must be integers"),
+        ([0.0, 1.0], "must be integers"),
+        ([True, False], "must be integers"),
+        ([0, 4], "out of range"),
+        ([-1, 0], "out of range"),
+    ], ids=["strings", "floats", "bools", "above", "below"])
+    def test_non_integer_or_out_of_range_codes_rejected(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            confusion(bad, [0, 0])
+        with pytest.raises(ValueError, match=match):
+            confusion([0, 0], bad)
+
+    def test_empty_inputs_give_zeros(self):
+        empty = np.empty(0, np.int64)
+        cm = confusion(empty, empty)
+        np.testing.assert_array_equal(cm, np.zeros((4, 4), np.int64))
+        assert cm.dtype == np.int64
+        with pytest.raises(ValueError, match="empty confusion matrix"):
+            scores(cm)
 
 
 class TestScores:
     def test_perfect_diagonal(self):
-        cm = ConfusionMatrix(np.diag([5, 6, 7, 8]))
-        report = scores(cm)
+        report = scores(np.diag([5, 6, 7, 8]))
         assert report.precision == pytest.approx([1.0] * 4)
         assert report.recall == pytest.approx([1.0] * 4)
         assert report.f1 == pytest.approx([1.0] * 4)
@@ -71,32 +87,32 @@ class TestScores:
 
     def test_never_predicted_class_flagged(self):
         counts = np.array([[4, 0, 0, 0], [2, 0, 0, 0], [0, 0, 3, 0], [0, 0, 0, 2]])
-        report = scores(ConfusionMatrix(counts))
+        report = scores(counts)
         assert report.precision[1] == 0.0  # S never predicted: 0/0 -> 0
         assert report.recall[1] == 0.0
         assert any("precision(S)" in f for f in report.flags)
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            scores(ConfusionMatrix(np.zeros((4, 4), dtype=np.int64)))
+            scores(np.zeros((4, 4), dtype=np.int64))
 
     @given(count_matrices)
     @settings(max_examples=200)
     def test_accuracy_equals_weighted_recall(self, counts):
-        report = scores(ConfusionMatrix(counts))
+        report = scores(counts)
         assert abs(report.accuracy - report.weighted_recall) < 1e-12
 
     @given(count_matrices)
     @settings(max_examples=100)
     def test_macro_f1_bounded_by_per_class(self, counts):
-        report = scores(ConfusionMatrix(counts))
+        report = scores(counts)
         assert report.f1.min() - 1e-12 <= report.macro_f1 <= report.f1.max() + 1e-12
 
     @given(count_matrices, st.integers(2, 7))
     @settings(max_examples=100)
     def test_invariant_under_duplication(self, counts, k):
-        a = scores(ConfusionMatrix(counts))
-        b = scores(ConfusionMatrix(counts * k))
+        a = scores(counts)
+        b = scores(counts * k)
         np.testing.assert_allclose(a.f1, b.f1, atol=1e-12)
         assert a.accuracy == pytest.approx(b.accuracy, abs=1e-12)
         assert a.macro_f1 == pytest.approx(b.macro_f1, abs=1e-12)
@@ -165,7 +181,7 @@ class TestReferenceEvalRecomputed:
         cm = reconstruct_confusion(
             REFERENCE_EVAL["support"], REFERENCE_EVAL["precision"], REFERENCE_EVAL["recall"]
         )
-        report = scores(ConfusionMatrix(cm))
+        report = scores(cm)
         np.testing.assert_allclose(report.precision, REFERENCE_EVAL["precision"], atol=5e-7)
         np.testing.assert_allclose(report.recall, REFERENCE_EVAL["recall"], atol=5e-7)
         np.testing.assert_allclose(report.f1, REFERENCE_EVAL["f1"], atol=5e-7)
@@ -177,7 +193,7 @@ class TestReferenceEvalRecomputed:
 class TestFormatting:
     def _report(self):
         counts = np.array([[8, 1, 0, 0], [1, 5, 0, 0], [0, 0, 6, 1], [0, 0, 1, 3]])
-        return scores(ConfusionMatrix(counts))
+        return scores(counts)
 
     def test_table_layout(self):
         text = format_report(self._report())
