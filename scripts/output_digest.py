@@ -102,8 +102,8 @@ def detect(seed: int):
     detector = RPeakDetector(FilterSpec(FS))
     beats = [beat for beat in map(detector.push, samples) if beat is not None]
     detected = [r for r, _ in beats]
-    state = detector.state
-    return detected, [], [state.signal_level, state.noise_level], [w for _, w in beats]
+    levels = [detector.signal_level, detector.noise_level]
+    return detected, [], levels, [w for _, w in beats]
 
 
 def lines(epochs: int, work: Path):

@@ -48,8 +48,8 @@ class BeatSet:
     `labels` holds integer codes into `tinyecg.labels.CLASSES`.
     `skipped` counts coded annotations whose window fell outside the
     recording. Construction checks every array: finite `(n, 61)`
-    windows, a 1-D integer array of one code in 0-3 per window, and a
-    non-negative integer `skipped`.
+    windows of a real float or integer dtype, a 1-D integer array of one
+    code in 0-3 per window, and a non-negative integer `skipped`.
     """
 
     windows: np.ndarray  # (n, 61) float64
@@ -57,8 +57,10 @@ class BeatSet:
     skipped: int = 0
 
     def __post_init__(self):
-        self.windows = np.asarray(self.windows, dtype=np.float64)
-        labels, skipped = np.asarray(self.labels), np.asarray(self.skipped)
+        windows, labels, skipped = map(np.asarray, (self.windows, self.labels, self.skipped))
+        if windows.dtype.kind not in "fiu":
+            raise ValueError(f"beat windows must be real numbers, got {windows.dtype}")
+        self.windows = windows.astype(np.float64, copy=False)
         if labels.ndim != 1 or labels.dtype.kind not in "iu":
             raise ValueError(f"labels must be a 1-D integer array, "
                              f"got {labels.dtype} {labels.shape}")
@@ -102,7 +104,7 @@ class BeatSet:
             raise ParseError(f"{path}: unreadable beats file: {exc!r}") from None
         try:
             return cls(windows, labels, skipped)
-        except (TypeError, ValueError) as exc:  # TypeError: structured windows
+        except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from None
 
 

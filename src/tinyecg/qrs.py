@@ -16,7 +16,6 @@ sample that completes it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -78,19 +77,6 @@ def emit_window(buffer: StreamBuffer, r_index: int) -> np.ndarray | None:
     return buffer.window(r_index - WINDOW_HALF, r_index + WINDOW_HALF)
 
 
-@dataclass
-class DetectorState:
-    signal_level: float = 0.0
-    noise_level: float = 0.0
-    last_peak_index: int | None = None
-
-    @property
-    def threshold(self) -> float:
-        return self.noise_level + THRESHOLD_FRACTION * (
-            self.signal_level - self.noise_level
-        )
-
-
 class RPeakDetector:
     """One instance per stream; feed raw samples, get beats.
 
@@ -103,7 +89,10 @@ class RPeakDetector:
     def __init__(self, spec: FilterSpec):
         self.preprocessor = StreamingPreprocessor(spec)
         self.buffer = StreamBuffer(BUFFER_CAPACITY)
-        self.state = DetectorState()
+        # Running levels (set at the end of warm-up) and the last beat's index.
+        self.signal_level = 0.0
+        self.noise_level = 0.0
+        self.last_peak_index: int | None = None
         self.refractory_samples = int(round(REFRACTORY_S * spec.sampling_rate_hz))
         self.warmup_samples = int(round(WARMUP_S * spec.sampling_rate_hz))
         # A running max and sum (8 bytes) set the levels; the 2 s of warm-up
@@ -146,8 +135,8 @@ class RPeakDetector:
                 self._warm_max = y
             self._warm_sum += y
             if n == self.warmup_samples - 1:
-                self.state.signal_level = self._warm_max
-                self.state.noise_level = self._warm_sum / self.warmup_samples
+                self.signal_level = self._warm_max
+                self.noise_level = self._warm_sum / self.warmup_samples
                 self._prev = y
                 self._prev_index = n
                 self._rising = False
@@ -168,16 +157,13 @@ class RPeakDetector:
         return detected
 
     def _on_peak(self, peak: float, index: int) -> int | None:
-        state = self.state
-        in_refractory = (
-            state.last_peak_index is not None
-            and index - state.last_peak_index < self.refractory_samples
-        )
-        if in_refractory:
+        last = self.last_peak_index
+        if last is not None and index - last < self.refractory_samples:
             return None
-        if peak > state.threshold:
-            state.signal_level = LEVEL_GAIN * peak + (1 - LEVEL_GAIN) * state.signal_level
-            state.last_peak_index = index
+        threshold = self.noise_level + THRESHOLD_FRACTION * (self.signal_level - self.noise_level)
+        if peak > threshold:
+            self.signal_level = LEVEL_GAIN * peak + (1 - LEVEL_GAIN) * self.signal_level
+            self.last_peak_index = index
             return index
-        state.noise_level = LEVEL_GAIN * peak + (1 - LEVEL_GAIN) * state.noise_level
+        self.noise_level = LEVEL_GAIN * peak + (1 - LEVEL_GAIN) * self.noise_level
         return None

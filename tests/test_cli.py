@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import zipfile
 from pathlib import Path
 
@@ -343,6 +345,13 @@ BAD_BEATS_FILES = {
     "labels-shape": _arrays(np.ones((2, 61)), np.array([[0], [3]])),
     "negative-skipped": _arrays(np.ones((2, 61)), np.array([0, 3]), skipped=-3),
     "fractional-skipped": _arrays(np.ones((2, 61)), np.array([0, 3]), skipped=2.7),
+    # windows that are not real numbers: the first four used to load cast
+    # to float64 without a word, complex ones with the imaginary part dropped
+    "datetime-windows": _arrays(np.ones((2, 61), "M8[D]"), np.array([0, 3])),
+    "timedelta-windows": _arrays(np.ones((2, 61), "m8[s]"), np.array([0, 3])),
+    "bool-windows": _arrays(np.ones((2, 61), bool), np.array([0, 3])),
+    "structured-windows": _arrays(np.ones((2, 61), [("mv", "f8")]), np.array([0, 3])),
+    "complex-windows": _arrays(np.full((2, 61), 1 + 2j), np.array([0, 3])),
 }
 
 
@@ -575,9 +584,6 @@ class TestStream:
 
 
 def test_console_entry_point():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "tinyecg.cli", "--help"], capture_output=True, text=True,
         env=CHILD_ENV,
@@ -636,9 +642,6 @@ print(codes, "scipy" in sys.modules)
 
 
 def _scipy_loaded(work, *commands) -> bool:
-    import subprocess
-    import sys
-
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(work), *commands],
                           capture_output=True, text=True, check=True, env=CHILD_ENV)
     codes, loaded = proc.stdout.rsplit(" ", 1)
@@ -655,3 +658,17 @@ def test_live_path_never_loads_scipy(workspace):
 def test_batch_preprocessing_loads_scipy(workspace):
     # the same probe does see scipy once a recording is filtered in batch
     assert _scipy_loaded(workspace, "ingest")
+
+
+@pytest.mark.parametrize("imports, modules", [
+    ("tinyecg.qrs, tinyecg.quant", "dsp ingest labels nn qrs quant"),
+    ("tinyecg.cli", "cli dsp ingest labels metrics modelio nn qrs quant train"),
+])
+def test_package_modules_loaded(imports, modules):
+    # the package re-exports nothing, so the live path (detector and int8
+    # kernel) loads no training, scoring or model-file code
+    probe = (f"import sys, {imports}; "
+             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'tinyecg'))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, check=True, env=CHILD_ENV)
+    assert proc.stdout.split() == ["tinyecg", *(f"tinyecg.{m}" for m in modules.split())]

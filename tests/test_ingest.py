@@ -368,6 +368,19 @@ class TestBeatSetChecks:
         with pytest.raises(ValueError, match=r"must be \(n, 61\)"):
             BeatSet(np.zeros(shape), [0, 1])
 
+    @pytest.mark.parametrize("dtype", ["M8[D]", "m8[s]", bool, [("mv", "f8")], complex])
+    def test_windows_other_than_real_numbers_rejected(self, dtype):
+        # datetime, timedelta, bool and single-field structured windows used
+        # to be cast to float64 without a word, and complex ones lost their
+        # imaginary part under only a ComplexWarning
+        with pytest.raises(ValueError, match="beat windows must be real numbers"):
+            BeatSet(np.ones((2, 61), dtype), [0, 1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int16, np.uint8])
+    def test_real_windows_stored_as_float64(self, dtype):
+        beats = BeatSet(np.ones((2, 61), dtype), [0, 1])
+        assert beats.windows.dtype == np.float64 and (beats.windows == 1.0).all()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_windows_rejected(self, bad):
         windows = np.zeros((2, 61))

@@ -8,7 +8,6 @@ from tinyecg.ingest import WINDOW_HALF
 from tinyecg.labels import CLASSES
 from tinyecg.qrs import (
     BUFFER_CAPACITY,
-    DetectorState,
     RPeakDetector,
     StreamBuffer,
     WindowLostError,
@@ -104,10 +103,38 @@ class TestEmitWindow:
             emit_window(buf, 200)
 
 
-class TestDetectorState:
-    def test_threshold_formula(self):
-        state = DetectorState(signal_level=8.0, noise_level=2.0)
-        assert state.threshold == pytest.approx(2.0 + 0.25 * 6.0)
+class TestThreshold:
+    """`_on_peak` with levels 8 and 2: the threshold is 2 + 0.25 * (8 - 2) = 3.5."""
+
+    def _detector(self):
+        det = RPeakDetector(FilterSpec(FS))
+        det.signal_level, det.noise_level = 8.0, 2.0
+        return det
+
+    def test_peak_above_threshold_is_a_beat(self):
+        det, peak = self._detector(), np.nextafter(3.5, np.inf)
+        assert det._on_peak(peak, 1000) == 1000
+        assert det.signal_level == 0.125 * peak + 0.875 * 8.0
+        assert det.noise_level == 2.0
+        assert det.last_peak_index == 1000
+
+    @pytest.mark.parametrize("peak", [np.nextafter(3.5, -np.inf), 3.5])
+    def test_peak_not_above_threshold_moves_noise_level(self, peak):
+        det = self._detector()
+        assert det._on_peak(peak, 1000) is None
+        assert det.noise_level == 0.125 * peak + 0.875 * 2.0
+        assert det.signal_level == 8.0
+        assert det.last_peak_index is None
+
+    def test_peak_inside_refractory_period_changes_nothing(self):
+        det = self._detector()
+        det.last_peak_index = 1000
+        last_inside = 1000 + det.refractory_samples - 1
+        for peak in (1.0, 100.0):
+            assert det._on_peak(peak, last_inside) is None
+            assert (det.signal_level, det.noise_level, det.last_peak_index) == (8.0, 2.0, 1000)
+        # one sample later the period is over
+        assert det._on_peak(100.0, last_inside + 1) == last_inside + 1
 
 
 class TestRPeakDetector:
@@ -164,7 +191,7 @@ class TestRPeakDetector:
     def test_levels_ordered_after_warmup(self):
         signal, _ = pulse_train(20, fs=FS, snr_db=20.0, seed=4)
         det, _ = run_detector(signal)
-        assert det.state.signal_level >= det.state.noise_level >= 0.0
+        assert det.signal_level >= det.noise_level >= 0.0
 
     @pytest.mark.parametrize("seed", [1, 4])
     def test_warmup_levels_are_max_and_mean(self, seed):
@@ -176,8 +203,8 @@ class TestRPeakDetector:
             det.push_sample(v)
         warmup = preprocess(signal, FilterSpec(FS))[: det.warmup_samples]
         assert det.warmup_samples == 720
-        assert det.state.signal_level == warmup.max()
-        assert det.state.noise_level == pytest.approx(warmup.mean(), rel=1e-12)
+        assert det.signal_level == warmup.max()
+        assert det.noise_level == pytest.approx(warmup.mean(), rel=1e-12)
 
     def test_noisy_train_f1(self):
         signal, truth = pulse_train(100, bpm=75, fs=FS, snr_db=20.0, seed=1)
