@@ -5,7 +5,11 @@ Input files are plain-text CSV exports of PhysioNet records:
     signal file      one `index,voltage` line per sample
     annotation file  one `index,symbol` line per annotated beat
 
-Lines starting with `#` are comments; LF and CRLF both accepted.
+Lines starting with `#` are comments; LF and CRLF both accepted. A
+clean signal export (`index,value` or empty lines only, indices 0, 1,
+2, ... as plain integers, finite values) is parsed in one `np.loadtxt`
+pass; any other file goes through a line loop, which accepts or rejects
+it and names the line of an error.
 `load_annotations` returns an `(n, 2)` int64 array, one row per line:
 the sample index, then the symbol's class code (`labels.SYMBOL_CODE`,
 -1 outside the four classes). Beats are 61-sample windows of the
@@ -112,24 +116,70 @@ def _rows(path) -> list[tuple[int, str, str]]:
     """Return (line_number, first_field, second_field) per line, skipping blanks/comments."""
     path = Path(path)
     out = []
-    with open(path, "r", encoding="utf-8", newline=None) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected `a,b`, got {line!r}")
-            out.append((lineno, parts[0].strip(), parts[1].strip()))
+    try:
+        with open(path, "r", encoding="utf-8", newline=None) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split(",")
+                if len(parts) != 2:
+                    raise ParseError(f"{path}:{lineno}: expected `a,b`, got {line!r}")
+                out.append((lineno, parts[0].strip(), parts[1].strip()))
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     return out
+
+
+def _not_utf8(path: Path) -> ParseError:
+    """Name the line of the first byte that is not UTF-8. The decoder
+    works on chunks, so the line is found again from the whole file."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        lineno = head.count(b"\n") + 1
+        return ParseError(f"{path}:{lineno}: not UTF-8 text "
+                          f"(byte 0x{data[exc.start]:02x}: {exc.reason})")
+    return ParseError(f"{path}: not UTF-8 text")
+
+
+def _clean_signal(path) -> np.ndarray | None:
+    """The samples of a clean export in one `np.loadtxt` pass, else None.
+
+    `comments=None` and the int64 index column reject inline comments,
+    `#` and whitespace-only lines, and indices such as `1.0`, `1e0` or
+    `1_0`; a warning (an empty file, or an older numpy reading `1.0`
+    into an int column) counts as a rejection too. `loadtxt` gets an
+    open file, not the path: given a path, it would decompress a `.gz`
+    name and fetch a URL.
+    """
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
+                               dtype=[("index", np.int64), ("value", np.float64)])
+        except (ValueError, Warning):
+            return None
+    if (table.size and np.array_equal(table["index"], np.arange(table.size))
+            and np.isfinite(table["value"]).all()):
+        return np.ascontiguousarray(table["value"])
+    return None
 
 
 def load_signal(path) -> np.ndarray:
     """Parse an `index,value` export into float64 samples.
 
     Indices must count up by one from 0: a gap would shift every later
-    annotation off its sample. Values must be finite.
+    annotation off its sample. Values must be finite. A clean export
+    takes the one-pass parse; anything else, a comment or a
+    whitespace-only line included, goes through the line loop, which
+    names the line of an error.
     """
+    samples = _clean_signal(path)
+    if samples is not None:
+        return samples
     rows = _rows(path)
     if not rows:
         raise ParseError(f"{Path(path)}: no samples found")

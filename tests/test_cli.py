@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tinyecg
+from tinyecg import ingest
 from tinyecg.cli import EXIT_BUDGET, EXIT_CHECKSUM, EXIT_INPUT, EXIT_OK, main
 from tinyecg.ingest import BeatSet
 from tinyecg.modelio import save_model, save_qmodel
@@ -109,6 +110,20 @@ class TestIngest:
         ])
         assert code == EXIT_INPUT
         assert "bad.csv:1" in capsys.readouterr().err
+
+    def test_signal_not_utf8_names_its_path(self, workspace, tmp_path, capsys):
+        # with several records, the message must say which file is bad
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes((workspace / "sig.csv").read_bytes()[:40] + b"\xff\n")
+        code = main([
+            "ingest",
+            "--signal", str(workspace / "sig.csv"), "--annotations", str(workspace / "ann.csv"),
+            "--signal", str(bad), "--annotations", str(workspace / "ann.csv"),
+            "--out", str(tmp_path / "x.npz"),
+        ])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{bad}:" in err and "not UTF-8" in err
 
     def test_multiple_records_merged(self, workspace, tmp_path, capsys):
         code = main([
@@ -529,6 +544,33 @@ class TestStream:
         assert len(alerts) == 2
         assert all(l.endswith(",V") for l in alerts)
 
+
+    def test_same_events_from_clean_and_commented_exports(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        # one recording written twice: as exported (the one-pass parse) and
+        # with a header line and CRLF ends (the line loop)
+        loop_reads = []
+        rows = ingest._rows
+        monkeypatch.setattr(ingest, "_rows", lambda path: loop_reads.append(path) or rows(path))
+        commented = tmp_path / "commented.csv"
+        text = (workspace / "stream_v.csv").read_text()
+        commented.write_bytes(("# header\n" + text).replace("\n", "\r\n").encode())
+        stdout = []
+        for signal in (workspace / "stream_v.csv", commented):
+            assert main([
+                "stream", "--signal", str(signal), "--qmodel", str(workspace / "model.tnq"),
+            ]) == EXIT_OK
+            stdout.append(capsys.readouterr().out.encode())
+        assert loop_reads == [str(commented)]
+        assert stdout[0] == stdout[1] and b"ALERT" in stdout[0]
+
+    def test_signal_not_utf8_names_its_path(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"0,0.0\n1,\xb50.1\n")
+        code = main(["stream", "--signal", str(bad), "--qmodel", str(workspace / "model.tnq")])
+        assert code == EXIT_INPUT
+        assert f"{bad}:2: not UTF-8" in capsys.readouterr().err
 
     def test_mismatched_layer_widths_checksum_exit(
         self, workspace, tmp_path, write_mismatched_model

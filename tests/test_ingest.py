@@ -1,11 +1,13 @@
 import os
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tinyecg import ingest
 from tinyecg.dsp import FilterSpec, preprocess
 from tinyecg.ingest import (
     BeatSet,
@@ -17,6 +19,7 @@ from tinyecg.ingest import (
     split,
 )
 from tinyecg.labels import AAMI_GROUPS, CLASSES, LABEL_INDEX, SYMBOL_CODE
+from tinyecg.synthetic import write_signal_csv
 
 
 def write(path, text):
@@ -82,6 +85,135 @@ class TestLoadSignal:
             fh.writelines(f"{i},{(i % 7) * 0.01}\n" for i in range(n))
         assert len(load_signal(p)) == n
 
+    def test_not_utf8_names_path_and_line(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_bytes(b"0,1.0\r\n1,2.0\n2,\xff3.0\n")
+        with pytest.raises(ParseError, match=r"s\.csv:3: not UTF-8 .*0xff"):
+            load_signal(p)
+
+
+def reference_load_signal(path) -> np.ndarray:
+    """The oracle: the line loop alone, as `load_signal` ran before it
+    gained the one-pass parse."""
+    path, rows = Path(path), []
+    with open(path, "r", encoding="utf-8", newline=None) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ParseError(f"{path}:{lineno}: expected `a,b`, got {line!r}")
+            rows.append((lineno, parts[0].strip(), parts[1].strip()))
+    if not rows:
+        raise ParseError(f"{path}: no samples found")
+    values, prev = np.empty(len(rows)), -1
+    for pos, (lineno, a, b) in enumerate(rows):
+        try:
+            idx = int(a)
+            values[pos] = float(b)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+        if idx != prev + 1:
+            problem = "not increasing" if idx <= prev else "leaves a gap"
+            raise ParseError(f"{path}:{lineno}: sample index {idx} {problem} (prev {prev})")
+        prev = idx
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        lineno, _, b = rows[bad[0]]
+        raise ParseError(f"{path}:{lineno}: non-finite sample value {b!r}")
+    return values
+
+
+# Ways to write a field that the one-pass parse and the line loop could
+# read differently.
+WHITESPACE = " \t\x0b\x0c\x1c\x1f\x85\xa0\u2003\u2028\u3000"
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+INDEX_TEXT = {
+    "gap": lambda i: str(i + 1),
+    "repeat": lambda i: str(i - 1),
+    "float": lambda i: f"{i}.0",
+    "exponent": lambda i: f"{i}e0",
+    "underscore": lambda i: f"0_{i}",
+    "arabic-indic digits": lambda i: str(i).translate(ARABIC_INDIC),
+    "fullwidth digits": lambda i: str(i).translate(FULLWIDTH),
+    "byte order mark": lambda i: f"\ufeff{i}",
+    "beyond int64": lambda i: str(2**63 + i),
+    "sign": lambda i: f"+{i}",
+    "leading zeros": lambda i: f"00{i}",
+}
+VALUE_TEXT = ["nan", "-nan", "inf", "-inf", "infinity", "1e400", "0x1p3", "0x10", ".5", "5.",
+              "1_0.5", "2 # c", "+1.5", "-0.0", "007.5", "١.٥", "", "1.5\x00"]
+EXTRA_LINES = ["", " ", "\t\xa0", "# c", "#0,1", ","]
+
+
+@st.composite
+def signal_exports(draw):
+    """The text of a signal export: clean `index,value` lines with up to
+    three fields rewritten, whitespace around fields, extra lines, and
+    LF, CRLF or CR line ends."""
+    n = draw(st.integers(0, 6))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    rows = [[str(i), repr(draw(floats))] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        k = draw(st.integers(0, n - 1))
+        edit = draw(st.sampled_from(["index", "value", "third field"]))
+        if edit == "index":
+            rows[k][0] = INDEX_TEXT[draw(st.sampled_from(sorted(INDEX_TEXT)))](k)
+        elif edit == "value":
+            rows[k][1] = draw(st.sampled_from(VALUE_TEXT))
+        else:
+            rows[k].append("0")
+    pad = st.text(st.sampled_from(WHITESPACE), max_size=2)
+    lines = [",".join(draw(pad) + field + draw(pad) for field in row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(EXTRA_LINES)))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends))
+
+
+def outcome(load, path):
+    """Bytes of the samples, or the ParseError message."""
+    try:
+        samples = load(path)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+    assert samples.dtype == np.float64 and samples.ndim == 1 and samples.flags.c_contiguous
+    return samples.tobytes()
+
+
+class TestOnePassParse:
+    """A clean export is parsed in one pass; the line loop judges the rest."""
+
+    @given(signal_exports())
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_the_line_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "generated.signal.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(load_signal, path) == outcome(reference_load_signal, path)
+
+    @pytest.mark.parametrize("writer", ["synthetic", "export_mitbih"])
+    @pytest.mark.parametrize("n", [1, 2000])
+    def test_clean_export_skips_the_line_loop(self, tmp_path, monkeypatch, writer, n):
+        def line_loop(path):
+            raise AssertionError(f"{path} went through the line loop")
+
+        monkeypatch.setattr(ingest, "_rows", line_loop)
+        rng = np.random.default_rng(n)
+        samples = np.concatenate([[-0.0, 5e-324, -1.5e16, 0.1], rng.normal(0, 2, n)])[:n]
+        path = tmp_path / f"{writer}.csv"
+        if writer == "synthetic":
+            write_signal_csv(path, samples)
+        else:  # the line format of scripts/export_mitbih.py
+            with open(path, "w") as fh:
+                fh.writelines(f"{i},{float(v)!r}\n" for i, v in enumerate(samples))
+        out = load_signal(path)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert out.tobytes() == samples.tobytes()
+
 
 class TestLoadAnnotations:
     def test_kept_classes(self, tmp_path):
@@ -116,6 +248,12 @@ class TestLoadAnnotations:
     def test_index_beyond_int64_rejected(self, tmp_path):
         p = write(tmp_path / "a.csv", f"5,N\n{2**63},N\n")
         with pytest.raises(ParseError, match=r"a\.csv:2: .*out of range"):
+            load_annotations(p)
+
+    def test_not_utf8_names_path_and_line(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_bytes(b"# r\n5,N\n9,\xc3")
+        with pytest.raises(ParseError, match=r"a\.csv:3: not UTF-8 .*0xc3"):
             load_annotations(p)
 
 
