@@ -8,10 +8,10 @@ parameters and loss curves (`fit`, `distill`, `prune_and_retrain`,
 quantization modes, every forward (per beat and batched) and
 `predict_labels*` in all three inference modes, saved
 `.tnm`/`.tnq` bytes with their JSON mirrors, `tinyecg quantize`'s
-stdout (text and `--json`), and the streaming detector's indices and
-labels over synthetic recordings with S, V and F beats. Inputs come from
-`tinyecg.synthetic` and fixed seeds. Compare a change against its
-parent commit with
+stdout (text and `--json`), and the streaming detector's indices,
+windows and labels over synthetic recordings with S, V and F beats.
+Inputs come from `tinyecg.synthetic` and fixed seeds. Compare a change
+against its parent commit with
 
     PYTHONPATH=<parent>/src python scripts/output_digest.py > parent.txt
     PYTHONPATH=src python scripts/output_digest.py > change.txt
@@ -120,6 +120,8 @@ def lines(epochs: int, work: Path):
     streams = [detect(seed) for seed in (5, 6, 7)]
     for seed, (detected, lost, levels, _) in zip((5, 6, 7), streams):
         yield f"qrs.RPeakDetector.seed{seed}", digest(detected, lost, levels)
+    for seed, (*_, windows) in zip((5, 6, 7), streams):
+        yield f"qrs.RPeakDetector.windows.seed{seed}", digest(*windows)
 
     train_set, test_set = training_beats(work)
     windows = test_set.windows

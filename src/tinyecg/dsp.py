@@ -12,9 +12,9 @@ Only the batch `bandpass` (and so `preprocess`) loads scipy, for its
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -30,7 +30,7 @@ class FilterSpec:
     sampling_rate_hz: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sampling_rate_hz)
+        if not (isfinite(self.sampling_rate_hz)
                 and HIGH_CUT_HZ < self.sampling_rate_hz / 2):
             raise ValueError(
                 f"the {LOW_CUT_HZ}-{HIGH_CUT_HZ} Hz passband needs a finite Nyquist rate"
@@ -115,18 +115,21 @@ class StreamingPreprocessor:
 
     Feeding a recording one sample at a time produces the same values as
     the batch chain (up to float summation order in the trailing mean).
-    Holds only the biquad's coefficients and two state values, four
-    derivative taps and the MWI window, all as Python floats: per-sample
-    arithmetic on numpy scalars costs several times more.
+    Holds the biquad's coefficients, one state tuple (its two DF2T state
+    values, then the derivative's last four bandpassed samples, newest
+    first) read and written once per push, and the MWI window, all as
+    Python floats: per-sample arithmetic on numpy scalars costs several
+    times more. The window is summed afresh from its oldest sample on
+    every push: a running add/subtract sum drifts from the batch chain.
     """
+
+    __slots__ = ("_coef", "_state", "_mwi")
 
     def __init__(self, spec: FilterSpec):
         (b0, b1, b2), (_, a1, a2) = bandpass_coefficients(spec)  # a0 is 1
         self._coef = (float(b0), float(b1), float(b2), float(a1), float(a2))
-        self._z0 = self._z1 = 0.0
-        self._taps: list[float] | None = None  # last 4 bandpassed samples, newest first
-        # Summed afresh from the oldest sample on every push: a running
-        # add/subtract sum would drift away from the batch chain.
+        # The taps are None until the first sample, which fills all four.
+        self._state: tuple = (0.0, 0.0, None, None, None, None)
         self._mwi: deque[float] = deque(maxlen=MWI_WINDOW)
 
     def push(self, raw: float) -> float:
@@ -136,20 +139,16 @@ class StreamingPreprocessor:
         state as it was, so one bad sample cannot poison later outputs.
         """
         x = float(raw)
-        if not math.isfinite(x):
+        if not isfinite(x):
             raise ValueError(f"non-finite sample {x!r}")
         # Direct form II transposed, matching scipy.signal.lfilter.
         b0, b1, b2, a1, a2 = self._coef
-        y = b0 * x + self._z0
-        self._z0 = b1 * x + self._z1 - a1 * y
-        self._z1 = b2 * x - a2 * y
-
-        if self._taps is None:
-            self._taps = [y, y, y, y]
-        t = self._taps
-        d = (2.0 * y + t[0] - t[2] - 2.0 * t[3]) / 8.0
-        t.insert(0, y)
-        t.pop()
+        z0, z1, t0, t1, t2, t3 = self._state
+        y = b0 * x + z0
+        if t0 is None:
+            t0 = t1 = t2 = t3 = y
+        d = (2.0 * y + t0 - t2 - 2.0 * t3) / 8.0
+        self._state = (b1 * x + z1 - a1 * y, b2 * x - a2 * y, y, t0, t1, t2)
 
         mwi = self._mwi
         mwi.append(d * d)

@@ -148,13 +148,17 @@ def _not_utf8(path: Path) -> ParseError:
 def _clean_signal(path) -> np.ndarray | None:
     """The samples of a clean export in one `np.loadtxt` pass, else None.
 
-    `comments=None` and the int64 index column reject inline comments,
-    `#` and whitespace-only lines, and indices such as `1.0`, `1e0` or
-    `1_0`; a warning (an empty file, or an older numpy reading `1.0`
-    into an int column) counts as a rejection too. `loadtxt` gets an
-    open file, not the path: given a path, it would decompress a `.gz`
-    name and fetch a URL.
+    `comments=None` and the int64 index column reject whitespace-only
+    lines and indices such as `1.0`, `1e0` or `1_0`; a warning (an empty
+    file, or an older numpy reading `1.0` into an int column) counts as a
+    rejection too. A `#` byte, which no line can pass, rejects the file
+    before the parse, so a trailing `# end` costs no `loadtxt` pass.
+    `loadtxt` gets an open file, not the path: given a path, it would
+    decompress a `.gz` name and fetch a URL.
     """
+    with open(path, "rb") as fh:
+        if any(b"#" in chunk for chunk in iter(lambda: fh.read(1 << 18), b"")):
+            return None
     with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
         warnings.simplefilter("error")
         try:

@@ -35,24 +35,23 @@ class WindowLostError(RuntimeError):
 
 
 class StreamBuffer:
-    """Ring of the newest preprocessed samples, addressed by absolute index."""
+    """Ring of the newest preprocessed samples, addressed by absolute index; its
+    one writer, `RPeakDetector.push_sample`, appends to `ring` and advances `head`."""
+
+    __slots__ = ("capacity", "ring", "head")
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._ring: deque[float] = deque(maxlen=capacity)
+        self.ring: deque[float] = deque(maxlen=capacity)
         self.head = -1  # absolute index of the newest stored sample
 
-    def push(self, value: float) -> None:
-        self._ring.append(float(value))
-        self.head += 1
-
     def __len__(self) -> int:
-        return len(self._ring)
+        return len(self.ring)
 
     @property
     def tail(self) -> int:
         """Absolute index of the oldest stored sample."""
-        return self.head - len(self._ring) + 1
+        return self.head - len(self.ring) + 1
 
     def window(self, start: int, end: int) -> np.ndarray:
         """Samples for absolute indices [start, end] inclusive."""
@@ -63,7 +62,7 @@ class StreamBuffer:
         if end > self.head:
             raise IndexError(f"window end {end} beyond head {self.head}")
         lo, n = start - self.tail, end - start + 1
-        return np.fromiter(islice(self._ring, lo, lo + n), np.float64, n)
+        return np.fromiter(islice(self.ring, lo, lo + n), np.float64, n)
 
 
 def emit_window(buffer: StreamBuffer, r_index: int) -> np.ndarray | None:
@@ -81,9 +80,10 @@ class RPeakDetector:
     """One instance per stream; feed raw samples, get beats.
 
     Detection happens one sample after a local maximum of the integrated
-    signal (the fall confirms the peak). Peaks above threshold outside
-    the refractory period are beats; sub-threshold peaks update the noise
-    level; anything inside the refractory period is ignored outright.
+    signal: the fall confirms the peak, the sample before it (a plateau's
+    newest). Peaks above threshold outside the refractory period are beats;
+    sub-threshold peaks update the noise level; anything inside the
+    refractory period is ignored outright.
     """
 
     def __init__(self, spec: FilterSpec):
@@ -100,7 +100,6 @@ class RPeakDetector:
         self._warm_max = float("-inf")
         self._warm_sum = 0.0
         self._prev = 0.0
-        self._prev_index = -1
         self._rising = False
         # Detected peaks whose window is not yet buffered, oldest first
         # (at most ceil(WINDOW_HALF / refractory_samples) of them).
@@ -127,8 +126,9 @@ class RPeakDetector:
     def push_sample(self, raw: float) -> int | None:
         """Advance one raw sample; returns the peak's absolute index on detection."""
         y = self.preprocessor.push(raw)
-        self.buffer.push(y)
-        n = self.buffer.head
+        buffer = self.buffer
+        buffer.ring.append(y)
+        n = buffer.head = buffer.head + 1
 
         if n < self.warmup_samples:
             if y > self._warm_max:
@@ -138,23 +138,19 @@ class RPeakDetector:
                 self.signal_level = self._warm_max
                 self.noise_level = self._warm_sum / self.warmup_samples
                 self._prev = y
-                self._prev_index = n
-                self._rising = False
             return None
 
-        detected = None
-        if y > self._prev:
+        prev = self._prev
+        if y > prev:
             self._rising = True
-        elif y == self._prev:
-            self._prev_index = n  # plateau: keep tracking its newest sample
-            return None
-        else:
-            if self._rising:
-                detected = self._on_peak(self._prev, self._prev_index)
+        elif y == prev:
+            return None  # plateau: the fall that ends it confirms its newest sample
+        elif self._rising:
             self._rising = False
+            self._prev = y
+            return self._on_peak(prev, n - 1)
         self._prev = y
-        self._prev_index = n
-        return detected
+        return None
 
     def _on_peak(self, peak: float, index: int) -> int | None:
         last = self.last_peak_index

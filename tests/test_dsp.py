@@ -1,14 +1,16 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
 from tinyecg.dsp import (
     HIGH_CUT_HZ,
     LOW_CUT_HZ,
+    MWI_WINDOW,
     FilterSpec,
     StreamingPreprocessor,
     bandpass,
@@ -210,3 +212,46 @@ class TestStreamingPreprocessor:
             probed.push(bad)
         for v in x[200:]:
             assert probed.push(v) == clean.push(v)
+
+
+def reference_stream(spec, samples) -> list[float]:
+    """The live chain written out plainly, one sample at a time: a DF2T
+    biquad, the 4-tap derivative clamped to the first output, and the MWI
+    summed from its oldest sample."""
+    (b0, b1, b2), (_, a1, a2) = bandpass_coefficients(spec)
+    b0, b1, b2, a1, a2 = map(float, (b0, b1, b2, a1, a2))
+    z0 = z1 = 0.0
+    taps = None  # newest first
+    mwi = deque(maxlen=MWI_WINDOW)
+    out = []
+    for raw in samples:
+        x = float(raw)
+        y = b0 * x + z0
+        z0 = b1 * x + z1 - a1 * y
+        z1 = b2 * x - a2 * y
+        if taps is None:
+            taps = [y, y, y, y]
+        d = (2.0 * y + taps[0] - taps[2] - 2.0 * taps[3]) / 8.0
+        taps = [y, *taps[:3]]
+        mwi.append(d * d)
+        out.append(sum(mwi) / len(mwi))
+    return out
+
+
+_noise = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=80)
+_zeros = st.integers(1, 80).map(lambda n: [None] * n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fs=st.floats(30.5, 2000.0),
+    offset=st.floats(-1000.0, 1000.0),
+    segments=st.lists(st.one_of(_noise, _zeros), min_size=1, max_size=8),
+)
+def test_stream_push_is_the_reference_loop_bit_for_bit(fs, offset, segments):
+    # noise riding on a DC offset, broken by stretches of exact zeros
+    x = [0.0 if v is None else offset + v for segment in segments for v in segment]
+    spec = FilterSpec(fs)
+    stream = StreamingPreprocessor(spec)
+    got = np.array([stream.push(v) for v in x])
+    assert got.tobytes() == np.array(reference_stream(spec, x)).tobytes()

@@ -214,6 +214,21 @@ class TestOnePassParse:
         assert out.dtype == np.float64 and out.flags.c_contiguous
         assert out.tobytes() == samples.tobytes()
 
+    def test_comment_skips_the_one_pass_parse(self, tmp_path, monkeypatch):
+        # a `#` anywhere, here a trailing `# end` line, goes straight to the
+        # line loop: `loadtxt` with `comments=None` could only reject it
+        samples = np.random.default_rng(0).normal(0, 2, 500)
+        path = tmp_path / "s.csv"
+        write_signal_csv(path, samples)
+        with open(path, "a") as fh:
+            fh.write("# end\n")
+
+        def loadtxt(*args, **kwargs):
+            raise AssertionError("np.loadtxt parsed a file holding a comment")
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        assert load_signal(path).tobytes() == samples.tobytes()
+
 
 class TestLoadAnnotations:
     def test_kept_classes(self, tmp_path):

@@ -45,11 +45,19 @@ def match_detections(detections, truth, tol=18):
     return tp, len(detections) - tp, len(truth) - tp
 
 
+def fill(buf, values):
+    """Write samples the way `RPeakDetector.push_sample` does: append to the
+    ring, then advance the head."""
+    for v in values:
+        buf.ring.append(v)
+        buf.head += 1
+
+
 class TestStreamBuffer:
     def test_capacity_bound(self):
         buf = StreamBuffer(capacity=5)
         for i in range(20):
-            buf.push(float(i))
+            fill(buf, [float(i)])
             assert len(buf) <= 5
         assert buf.head == 19
         assert buf.tail == 15
@@ -57,8 +65,7 @@ class TestStreamBuffer:
 
     def test_window_too_old_raises(self):
         buf = StreamBuffer(capacity=5)
-        for i in range(20):
-            buf.push(float(i))
+        fill(buf, map(float, range(20)))
         with pytest.raises(WindowLostError):
             buf.window(10, 14)
 
@@ -73,8 +80,7 @@ def test_ring_window_returns_pushed_values(capacity, extra, data):
     # values pushed at those absolute indices
     buf = StreamBuffer(capacity)
     pushed = [float(i) * 0.5 - 7.0 for i in range(capacity + extra)]
-    for v in pushed:
-        buf.push(v)
+    fill(buf, pushed)
     start = data.draw(st.integers(buf.tail, buf.head), label="start")
     end = data.draw(st.integers(start, min(buf.head, start + 60)), label="end")
     np.testing.assert_array_equal(buf.window(start, end), pushed[start : end + 1])
@@ -83,8 +89,7 @@ def test_ring_window_returns_pushed_values(capacity, extra, data):
 class TestEmitWindow:
     def _filled(self, n, capacity=BUFFER_CAPACITY):
         buf = StreamBuffer(capacity)
-        for i in range(n):
-            buf.push(float(i))
+        fill(buf, map(float, range(n)))
         return buf
 
     def test_exact_fit(self):
@@ -135,6 +140,58 @@ class TestThreshold:
             assert (det.signal_level, det.noise_level, det.last_peak_index) == (8.0, 2.0, 1000)
         # one sample later the period is over
         assert det._on_peak(100.0, last_inside + 1) == last_inside + 1
+
+
+class ScriptedPreprocessor:
+    """Stands in for `StreamingPreprocessor`: each push returns the next
+    scripted MWI value, whatever the raw sample."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def push(self, raw):
+        return next(self._values)
+
+
+class TestPeakIndex:
+    """`push_sample` on scripted MWI values. Warm-up ends with both levels
+    at 1.0 unless the test says otherwise, so any peak above 1.0 is a beat."""
+
+    def _detections(self, after_warmup, warmup=None):
+        """(sample index, reported peak index) for every detection."""
+        det = RPeakDetector(FilterSpec(FS))
+        w = det.warmup_samples
+        det.preprocessor = ScriptedPreprocessor(
+            ([1.0] * w if warmup is None else warmup) + after_warmup)
+        hits = [(n, det.push_sample(0.0)) for n in range(w + len(after_warmup))]
+        return w, [(n, r) for n, r in hits if r is not None]
+
+    def test_rise_then_fall_reports_the_top_on_the_falling_sample(self):
+        w, hits = self._detections([2.0, 3.0, 5.0, 4.0, 3.0])
+        assert hits == [(w + 3, w + 2)]
+
+    def test_plateau_reports_its_newest_sample(self):
+        w, hits = self._detections([2.0, 5.0, 5.0, 5.0, 4.0, 3.0])
+        assert hits == [(w + 4, w + 3)]
+
+    def test_first_sample_after_warmup_never_detects(self):
+        # warm-up rises to its last sample and the next one falls: a peak
+        # well above threshold, but no rise was seen after warm-up
+        rising = [float(i) for i in range(int(2 * FS))]
+        w, hits = self._detections([0.0, 0.0], warmup=rising)
+        assert hits == []
+        # the same fall one sample later, after a rise, is a beat
+        w, hits = self._detections([1000.0, 0.0], warmup=rising)
+        assert hits == [(w + 1, w)]
+
+    @pytest.mark.parametrize("gap_past_refractory, second_found", [(-1, False), (0, True)])
+    def test_peak_inside_refractory_period_is_ignored(self, gap_past_refractory, second_found):
+        refractory = RPeakDetector(FilterSpec(FS)).refractory_samples
+        second = 1 + refractory + gap_past_refractory
+        values = [1.0] * (second + 3)
+        values[1] = values[second] = 5.0
+        w, hits = self._detections(values)
+        assert hits == [(w + 2, w + 1)] + [(w + second + 1, w + second)] * second_found
 
 
 class TestRPeakDetector:
