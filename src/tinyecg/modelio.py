@@ -13,8 +13,9 @@ Round trips are bit-exact; a trailing CRC32 guards against truncation
 and corruption. A CRC-valid file is still checked before any parameter
 is read: each stored activation must be the one the variant tag names
 (the only activation a loaded model carries), and layer 1's width must
-be layer 2's input width. A float model whose parameters are not all
-finite is rejected as unusable input (`ValueError`, naming the path).
+be layer 2's input width. A CRC-valid model of the other kind, non-finite
+float parameters and values the model classes reject raise `ValueError`
+naming the path; a file of neither kind raises `ChecksumError`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .quant import MODES, QuantParams, QuantizedModel
 MAGIC_FLOAT = b"TECG"
 MAGIC_QUANT = b"TECQ"
 FORMAT_VERSION = 1
+_KIND = {MAGIC_FLOAT: "a float model (TECG)", MAGIC_QUANT: "an int8 model (TECQ)"}
 
 
 class ChecksumError(ValueError):
@@ -75,7 +77,10 @@ def _open_checked(path, magic: bytes) -> _Reader:
     if zlib.crc32(body) != stored:
         raise ChecksumError(f"{path}: checksum mismatch")
     rd = _Reader(body, path)
-    if rd.take(4) != magic:
+    found = rd.take(4)
+    if found in _KIND and found != magic:
+        raise ValueError(f"{path}: holds {_KIND[found]}, not {_KIND[magic]}")
+    if found != magic:
         raise ChecksumError(f"{path}: bad magic, expected {magic!r}")
     version, taglen = rd.unpack("<BB")
     if version != FORMAT_VERSION:
@@ -110,6 +115,14 @@ def _read_params(rd: _Reader, dtype) -> list[np.ndarray]:
     return unflatten(np.frombuffer(blob, dtype=dtype), shapes)
 
 
+def _built(path, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, its ValueError re-raised naming the file."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _save(model, path, header: bytes, dtype) -> None:
     body = header + _pack_shapes(model) + model.flat.astype(dtype, copy=False).tobytes()
     Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
@@ -125,7 +138,7 @@ def load_model(path) -> DenseModel:
     for name, p in zip(("w1", "b1", "w2", "b2"), params):
         if not np.isfinite(p).all():
             raise ValueError(f"{path}: {name} holds a non-finite value")
-    return DenseModel(*params, rd.variant)
+    return _built(path, DenseModel, *params, rd.variant)
 
 
 def save_qmodel(qmodel: QuantizedModel, path) -> None:
@@ -141,18 +154,9 @@ def load_qmodel(path) -> QuantizedModel:
     mode_flag, scale, zero_point, alpha, beta = rd.unpack("<Bdidd")
     if mode_flag >= len(MODES):
         raise ChecksumError(f"{path}: unknown quantization mode byte {mode_flag}")
-    qp = QuantParams(scale, zero_point, alpha, beta, MODES[mode_flag])
-    return QuantizedModel(*_read_params(rd, np.int8), qparams=qp, variant=rd.variant)
-
-
-def load_any(path) -> DenseModel | QuantizedModel:
-    """Dispatch on magic bytes; the two formats share one extension-free API."""
-    magic = Path(path).read_bytes()[:4]
-    if magic == MAGIC_FLOAT:
-        return load_model(path)
-    if magic == MAGIC_QUANT:
-        return load_qmodel(path)
-    raise ChecksumError(f"{path}: not a model file (magic {magic!r})")
+    qp = _built(path, QuantParams, scale, zero_point, alpha, beta, MODES[mode_flag])
+    return _built(path, QuantizedModel, *_read_params(rd, np.int8), qparams=qp,
+                  variant=rd.variant)
 
 
 def model_to_json(model: DenseModel) -> dict:

@@ -38,10 +38,9 @@ class StreamBuffer:
     """Ring of the newest preprocessed samples, addressed by absolute index; its
     one writer, `RPeakDetector.push_sample`, appends to `ring` and advances `head`."""
 
-    __slots__ = ("capacity", "ring", "head")
+    __slots__ = ("ring", "head")
 
     def __init__(self, capacity: int):
-        self.capacity = capacity
         self.ring: deque[float] = deque(maxlen=capacity)
         self.head = -1  # absolute index of the newest stored sample
 

@@ -436,25 +436,31 @@ class TestEval:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
-    def test_quantized_model_in_default_mode_rejected(self, workspace, capsys):
-        code = main([
-            "eval", "--model", str(workspace / "model.tnq"),
-            "--beats", str(workspace / "beats.npz"),
-        ])
-        assert code == EXIT_INPUT
-
-    @pytest.mark.parametrize("mode", ["quantized", "temporary-dequantized"])
-    def test_float_model_in_int8_mode_rejected(self, workspace, capsys, mode):
-        # it used to quantize the float model on the fly
-        model = workspace / "model.tnn"
-        code = main([
-            "eval", "--model", str(model), "--beats", str(workspace / "beats.npz"),
-            "--inference-mode", mode,
-        ])
+    @pytest.mark.parametrize("command, model, mode", [
+        ("quantize", "model.tnq", None),
+        ("eval", "model.tnq", "default"),
+        ("eval", "model.tnn", "quantized"),
+        ("eval", "model.tnn", "temporary-dequantized"),
+        ("stream", "model.tnn", None),
+    ], ids=["quantize", "default", "quantized", "temporary-dequantized", "stream"])
+    def test_float_model_in_int8_mode_rejected(self, workspace, tmp_path, capsys,
+                                               command, model, mode):
+        # a model file of the other kind, float where int8 is needed or the
+        # reverse, is unusable input in every command, with one message
+        path = workspace / model
+        args = {
+            "quantize": ["--model", str(path), "--out", str(tmp_path / "q.tnq")],
+            "eval": ["--model", str(path), "--beats", str(workspace / "beats.npz"),
+                     "--inference-mode", mode],
+            "stream": ["--qmodel", str(path), "--signal", str(workspace / "stream_v.csv")],
+        }[command]
+        code = main([command, *args])
         assert code == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{model}: {mode} mode needs an int8 model file" in captured.err
+        kinds = ["a float model (TECG)", "an int8 model (TECQ)"]
+        held, wanted = kinds[::-1] if model == "model.tnq" else kinds
+        assert f"error: {path}: holds {held}, not {wanted}\n" in captured.err
 
     def test_model_path_a_directory_rejected(self, workspace, tmp_path, capsys):
         # it used to end in an IsADirectoryError traceback
@@ -598,7 +604,9 @@ class TestStream:
             "stream", "--signal", str(workspace / "stream_v.csv"), "--qmodel", str(bad),
         ])
         assert code == EXIT_INPUT
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {bad}: scale must be finite and positive, got nan" in captured.err
 
     def test_other_input_width_rejected_before_the_signal_is_read(self, tmp_path, capsys):
         # a valid .tnq of a 60-10-4 model: the width check names both widths

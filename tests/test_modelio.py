@@ -5,7 +5,6 @@ import pytest
 
 from tinyecg.modelio import (
     ChecksumError,
-    load_any,
     load_model,
     load_qmodel,
     model_to_json,
@@ -92,11 +91,28 @@ class TestFloatFormat:
             load_model(path)
         assert not isinstance(exc.value, ChecksumError)
 
-    def test_wrong_magic_rejected(self, model, qmodel, tmp_path):
-        path = tmp_path / "q.tnq"
-        save_qmodel(qmodel, path)
-        with pytest.raises(ChecksumError, match="magic"):
-            load_model(path)
+    def test_wrong_magic_rejected(self, model, qmodel, tmp_path, patch_checked_byte):
+        # a CRC-valid model of the other kind is unusable input naming both
+        # kinds; a CRC-valid file whose magic names neither is a corrupt file
+        for saved, save, load, held, wanted in [
+            (qmodel, save_qmodel, load_model, "an int8 model", "a float model"),
+            (model, save_model, load_qmodel, "a float model", "an int8 model"),
+        ]:
+            path = tmp_path / f"{save.__name__}.bin"
+            save(saved, path)
+            with pytest.raises(ValueError, match=f"holds {held} .*, not {wanted}") as exc:
+                load(path)
+            assert not isinstance(exc.value, ChecksumError)
+            assert str(exc.value).startswith(f"{path}: ")
+            patch_checked_byte(path, 3, ord("X"))
+            with pytest.raises(ChecksumError, match="bad magic"):
+                load(path)
+
+    def test_garbage_rejected(self, tmp_path):
+        p = tmp_path / "junk"
+        p.write_bytes(b"not a model at all")
+        with pytest.raises(ChecksumError):
+            load_model(p)
 
 
 class TestLayerHeaderCheck:
@@ -183,6 +199,15 @@ class TestQuantFormat:
         with pytest.raises(ChecksumError):
             load_qmodel(path)
 
+    def test_code_below_int8_min_rejected_naming_path(self, qmodel, tmp_path,
+                                                       patch_checked_byte):
+        # a CRC-valid file whose first w1 code is -128, outside symmetric int8
+        path = tmp_path / "q.tnq"
+        save_qmodel(qmodel, path)
+        patch_checked_byte(path, path.stat().st_size - 4 - qmodel.param_count, 0x80)
+        with pytest.raises(ValueError, match="w1 holds a code below -127") as exc:
+            load_qmodel(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
     def test_in_place_code_flip_changes_one_parameter_byte(self, qmodel, tmp_path):
         # negate the largest output-layer code through the loaded model's
@@ -202,23 +227,6 @@ class TestQuantFormat:
         assert old[-4:] != new[-4:]
         assert np.frombuffer(new, np.int8)[code] == -np.frombuffer(old, np.int8)[code]
         assert load_qmodel(tmp_path / "flipped.tnq").w2[k] == loaded.w2[k]
-
-
-class TestLoadAny:
-    def test_dispatch_on_magic(self, model, qmodel, tmp_path):
-        from tinyecg.nn import DenseModel
-        from tinyecg.quant import QuantizedModel
-
-        save_model(model, tmp_path / "a")
-        save_qmodel(qmodel, tmp_path / "b")
-        assert isinstance(load_any(tmp_path / "a"), DenseModel)
-        assert isinstance(load_any(tmp_path / "b"), QuantizedModel)
-
-    def test_garbage_rejected(self, tmp_path):
-        p = tmp_path / "junk"
-        p.write_bytes(b"not a model at all")
-        with pytest.raises(ChecksumError):
-            load_any(p)
 
 
 class TestJsonMirror:

@@ -479,7 +479,7 @@ class TestCostReports:
         # the ledger and the streaming detector read one buffer size
         detector = RPeakDetector(FilterSpec(360.0))
         report = memory_report(random_qmodel(rng))
-        assert report.buffer_bytes == detector.buffer.capacity * BYTES_PER_SAMPLE
+        assert report.buffer_bytes == detector.buffer.ring.maxlen * BYTES_PER_SAMPLE
 
     def test_over_budget_flagged(self):
         report = memory_report_from_shapes([(61, 128), (128, 64), (64, 4)])
