@@ -9,7 +9,9 @@ parameters and loss curves (`fit`, `distill`, `prune_and_retrain`,
 `fit_weights_only`) for all four variants, both
 quantization modes, every forward (per beat and batched) and
 `predict_labels*` in all three inference modes, saved
-`.tnm`/`.tnq` bytes with their JSON mirrors, `tinyecg quantize`'s
+`.tnm`/`.tnq` bytes with their JSON mirrors, the loaders' error class and
+message for every single-byte edit (the byte inverted, CRC recomputed) and
+every truncation of a saved `.tnm` and `.tnq`, `tinyecg quantize`'s
 stdout (text and `--json`), and the streaming detector's indices,
 windows and labels over synthetic recordings with S, V and F beats.
 Inputs come from `tinyecg.synthetic` and fixed seeds. Compare a change
@@ -24,7 +26,9 @@ import argparse
 import contextlib
 import hashlib
 import io
+import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +36,7 @@ import numpy as np
 from tinyecg import cli, modelio, quant
 from tinyecg.dsp import FilterSpec, bandpass_coefficients, preprocess
 from tinyecg.ingest import extract_beats, load_annotations, load_signal, split
-from tinyecg.nn import VARIANTS, forward, predict_labels, sigmoid, softmax
+from tinyecg.nn import VARIANTS, forward, predict_labels, sigmoid, softmax, standard_model
 from tinyecg.qrs import RPeakDetector
 from tinyecg.synthetic import labeled_recording, write_annotation_csv, write_signal_csv
 from tinyecg.train import (
@@ -106,6 +110,23 @@ def detect(seed: int):
     detected = [r for r, _ in beats]
     levels = [detector.signal_level, detector.noise_level]
     return detected, [], levels, [w for _, w in beats]
+
+
+def load_outcomes(path: Path, load) -> list[str]:
+    """`load`'s outcome on every CRC-valid single-byte edit (the byte inverted)
+    and every truncation of the file at `path`: "loaded", or the exception's
+    class and message with the path replaced by `<path>`."""
+    body = path.read_bytes()[:-4]
+    edits = [body[:pos] + bytes([body[pos] ^ 0xFF]) + body[pos + 1:] for pos in range(len(body))]
+    outcomes = []
+    for edited in edits + [body[:cut] for cut in range(len(body))]:
+        path.write_bytes(edited + struct.pack("<I", zlib.crc32(edited)))
+        try:
+            load(path)
+            outcomes.append("loaded")
+        except Exception as exc:  # the class is part of the outcome
+            outcomes.append(f"{type(exc).__name__}: {str(exc).replace(str(path), '<path>')}")
+    return outcomes
 
 
 def lines(epochs: int, work: Path):
@@ -182,6 +203,14 @@ def lines(epochs: int, work: Path):
             yield f"stream.labels.{mode}.{variant}", digest(*(
                 [np.argmax(quant.forward_temporary_dequantized(qmodel, w)) for w in beats]
                 for *_, beats in streams))
+
+    model = standard_model("relu-softmax", seed=4)
+    modelio.save_model(model, work / "edited.tnm")
+    outcomes = load_outcomes(work / "edited.tnm", modelio.load_model)
+    for mode in ("symmetric", "asymmetric"):
+        modelio.save_qmodel(quant.quantize_model(model, mode), work / "edited.tnq")
+        outcomes += load_outcomes(work / "edited.tnq", modelio.load_qmodel)
+    yield "modelio.errors", digest("\n".join(outcomes).encode())
 
 
 def main() -> int:

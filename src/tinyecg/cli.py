@@ -2,8 +2,10 @@
 
 Subcommands: ingest, train, quantize, eval, stream. Exit codes are 0 on
 success, 2 for usage errors (argparse), 3 for missing, unreadable,
-unwritable or malformed files (a model file of the wrong kind included),
-4 for model checksum failures, 5 when the quantized model blows the SRAM budget.
+unwritable or malformed files (a model file of the wrong kind included, and
+a model with non-finite parameters, which `train` does not write), 4 for
+a file that is not an intact model file (CRC, length, magic, version or
+layer header), 5 when the quantized model blows the SRAM budget.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Pan-Tompkins preprocessing chain: bandpass -> derivative -> square -> MWI.
 
-The same chain runs in two shapes that take any non-empty input: `preprocess`
-over a whole recording (training data) and `StreamingPreprocessor`, one sample
-at a time (live detection). Every stage is causal and length-preserving, so an
-R-peak index in the raw signal addresses the same position in the output.
+The same chain runs in two shapes that take any non-empty input and reject
+any non-finite sample: `preprocess` over a whole recording (training data)
+and `StreamingPreprocessor`, one sample at a time (live detection). Every
+stage is causal and length-preserving, so an R-peak index in the raw signal
+addresses the same position in the output.
 
 Only the batch `bandpass` (and so `preprocess`) loads scipy, for its
 `lfilter`. The biquad itself is designed in numpy, so the live chain
@@ -61,12 +62,18 @@ def bandpass_coefficients(spec: FilterSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bandpass(samples, spec: FilterSpec) -> np.ndarray:
-    """Causal single-pass bandpass; rejects DC and powerline-range noise."""
+    """Causal single-pass bandpass; rejects DC and powerline-range noise.
+
+    Raises ValueError on an empty or non-finite input, naming the first bad
+    index: `lfilter` would carry one NaN into every later sample."""
     from scipy.signal import lfilter  # loaded only when a recording is filtered in batch
 
     x = np.asarray(samples, dtype=np.float64)
     if x.size == 0:
         raise ValueError("bandpass needs a non-empty sequence")
+    if not np.isfinite(x).all():
+        i = int(np.argmin(np.isfinite(x)))
+        raise ValueError(f"non-finite sample {float(x[i])!r} at index {i}")
     b, a = bandpass_coefficients(spec)
     return lfilter(b, a, x)
 

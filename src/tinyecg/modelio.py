@@ -1,21 +1,18 @@
 """Versioned binary model files plus a JSON mirror for inspection.
 
-Float models:      magic TECG, variant tag, per-layer shape header,
+Float models:      magic TECG, version, variant tag, per-layer shape header,
                    row-major float64 parameters, CRC32.
-Quantized models:  magic TECQ, variant tag, quantization parameters
+Quantized models:  magic TECQ, version, variant tag, quantization parameters
                    (mode, scale, zero point, clip range), per-layer shape
                    header, int8 parameters, CRC32.
 
-Both formats share one parameter codec: the same two layer headers
-(shape and activation) followed by the model's `flat` buffer (W1, b1,
-W2, b2 as `nn.unflatten` lays them out), as float64 or int8.
-Round trips are bit-exact; a trailing CRC32 guards against truncation
-and corruption. A CRC-valid file is still checked before any parameter
-is read: each stored activation must be the one the variant tag names
-(the only activation a loaded model carries), and layer 1's width must
-be layer 2's input width. A CRC-valid model of the other kind, non-finite
-float parameters and values the model classes reject raise `ValueError`
-naming the path; a file of neither kind raises `ChecksumError`.
+One writer (`_save`) and one reader (`_open`, then `_read_params`) serve both
+formats; the parameters are the model's `flat` buffer. Round trips are
+bit-exact. A file whose CRC, length, magic, version or layer header is wrong
+(an activation other than the variant tag's, disagreeing widths) raises
+`ChecksumError`; a model of the other kind, non-finite float parameters and
+values the model classes reject raise `ValueError` naming the path, and
+`save_model` refuses non-finite parameters before writing.
 """
 
 from __future__ import annotations
@@ -34,85 +31,89 @@ MAGIC_FLOAT = b"TECG"
 MAGIC_QUANT = b"TECQ"
 FORMAT_VERSION = 1
 _KIND = {MAGIC_FLOAT: "a float model (TECG)", MAGIC_QUANT: "an int8 model (TECQ)"}
+_QPARAMS = "<Bdidd"  # mode index, scale, zero point, alpha, beta
+_LAYER = "<IIB"  # fan_in, fan_out, activation index
 
 
 class ChecksumError(ValueError):
-    """Stored CRC32 does not match the file contents."""
+    """Not an intact model file (CRC, length, magic, version or layer header)."""
 
 
-def _pack_header(magic: bytes, variant: str) -> bytes:
-    tag = variant.encode("ascii")
-    return magic + struct.pack("<BB", FORMAT_VERSION, len(tag)) + tag
-
-
-def _pack_shapes(model) -> bytes:
-    out = struct.pack("<B", 2)
+def _save(model, path, magic: bytes, qparams_bytes: bytes, dtype) -> None:
+    tag = model.variant.encode("ascii")
+    body = magic + struct.pack("<BB", FORMAT_VERSION, len(tag)) + tag + qparams_bytes
+    body += struct.pack("<B", 2)
     for (fan_in, fan_out), act in zip(model.shapes, VARIANTS[model.variant]):
-        out += struct.pack("<IIB", fan_in, fan_out, ACTIVATIONS.index(act))
-    return out
+        body += struct.pack(_LAYER, fan_in, fan_out, ACTIVATIONS.index(act))
+    body += model.flat.astype(dtype, copy=False).tobytes()
+    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
-class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise ChecksumError(f"{self.path}: truncated file")
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def _open_checked(path, magic: bytes) -> _Reader:
+def _open(path, magic: bytes):
+    """Check the file's length, CRC, magic and version; return `(take, variant)`:
+    `take(fmt)` unpacks the body's next bytes, `take(None)` returns the rest."""
     blob = Path(path).read_bytes()
     if len(blob) < 10:
         raise ChecksumError(f"{path}: truncated file")
-    body, stored = blob[:-4], struct.unpack("<I", blob[-4:])[0]
-    if zlib.crc32(body) != stored:
+    body = memoryview(blob)[:-4]
+    if zlib.crc32(body) != struct.unpack_from("<I", blob, len(body))[0]:
         raise ChecksumError(f"{path}: checksum mismatch")
-    rd = _Reader(body, path)
-    found = rd.take(4)
+    pos = 0
+
+    def take(fmt):
+        nonlocal pos
+        if fmt is None:
+            return body[pos:]
+        start, pos = pos, pos + struct.calcsize(fmt)
+        if pos > len(body):
+            raise ChecksumError(f"{path}: truncated file")
+        return struct.unpack_from(fmt, body, start)
+
+    (found,) = take("4s")
     if found in _KIND and found != magic:
         raise ValueError(f"{path}: holds {_KIND[found]}, not {_KIND[magic]}")
     if found != magic:
         raise ChecksumError(f"{path}: bad magic, expected {magic!r}")
-    version, taglen = rd.unpack("<BB")
+    version, taglen = take("<BB")
     if version != FORMAT_VERSION:
         raise ChecksumError(f"{path}: unsupported format version {version}")
     # a non-ASCII tag decodes to an unknown variant, which the header check rejects
-    rd.variant = rd.take(taglen).decode("ascii", errors="replace")
-    return rd
+    (tag,) = take(f"{taglen}s")
+    return take, tag.decode("ascii", errors="replace")
 
 
-def _read_params(rd: _Reader, dtype) -> list[np.ndarray]:
+def _read_params(take, variant: str, path, dtype) -> list[np.ndarray]:
     """W1, b1, W2, b2 as read-only `dtype` views of the file, after checking the
-    variant tag, the layer count, each stored activation and the layer widths."""
-    if rd.variant not in VARIANTS:
-        raise ChecksumError(f"{rd.path}: unknown variant tag {rd.variant!r}")
-    (n_layers,) = rd.unpack("<B")
+    variant tag, layer count, activations and widths, and the parameters' length."""
+    if variant not in VARIANTS:
+        raise ChecksumError(f"{path}: unknown variant tag {variant!r}")
+    (n_layers,) = take("<B")
     if n_layers != 2:
-        raise ChecksumError(f"{rd.path}: expected 2 layers, found {n_layers}")
+        raise ChecksumError(f"{path}: expected 2 layers, found {n_layers}")
     shapes = []
-    for i, act in enumerate(VARIANTS[rd.variant], 1):
-        fan_in, fan_out, act_idx = rd.unpack("<IIB")
+    for i, act in enumerate(VARIANTS[variant], 1):
+        fan_in, fan_out, act_idx = take(_LAYER)
         if act_idx >= len(ACTIVATIONS) or ACTIVATIONS[act_idx] != act:
             raise ChecksumError(
-                f"{rd.path}: layer {i} activation byte {act_idx} is not {act!r},"
-                f" which variant {rd.variant!r} applies"
+                f"{path}: layer {i} activation byte {act_idx} is not {act!r},"
+                f" which variant {variant!r} applies"
             )
         shapes.append((fan_in, fan_out))
     (_, hidden), (fan_in, _) = shapes
     if hidden != fan_in:
-        raise ChecksumError(f"{rd.path}: layer widths disagree: {hidden} vs {fan_in}")
+        raise ChecksumError(f"{path}: layer widths disagree: {hidden} vs {fan_in}")
     dtype = np.dtype(dtype)
-    blob = rd.take(dtype.itemsize * flat_size(shapes))
-    return unflatten(np.frombuffer(blob, dtype=dtype), shapes)
+    rest, size = take(None), dtype.itemsize * flat_size(shapes)
+    if len(rest) != size:
+        raise ChecksumError(f"{path}: truncated file" if len(rest) < size
+                            else f"{path}: {len(rest) - size} bytes after the last parameter")
+    return unflatten(np.frombuffer(rest, dtype=dtype), shapes)
+
+
+def _check_finite(params, path) -> None:
+    for name, p in zip(("w1", "b1", "w2", "b2"), params):
+        if not np.isfinite(p).all():
+            raise ValueError(f"{path}: {name} holds a non-finite value")
 
 
 def _built(path, make, *args, **kwargs):
@@ -123,80 +124,49 @@ def _built(path, make, *args, **kwargs):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _save(model, path, header: bytes, dtype) -> None:
-    body = header + _pack_shapes(model) + model.flat.astype(dtype, copy=False).tobytes()
-    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-
-
 def save_model(model: DenseModel, path) -> None:
-    _save(model, path, _pack_header(MAGIC_FLOAT, model.variant), "<f8")
+    _check_finite(model.parameters, path)
+    _save(model, path, MAGIC_FLOAT, b"", "<f8")
 
 
 def load_model(path) -> DenseModel:
-    rd = _open_checked(path, MAGIC_FLOAT)
-    params = _read_params(rd, "<f8")
-    for name, p in zip(("w1", "b1", "w2", "b2"), params):
-        if not np.isfinite(p).all():
-            raise ValueError(f"{path}: {name} holds a non-finite value")
-    return _built(path, DenseModel, *params, rd.variant)
+    take, variant = _open(path, MAGIC_FLOAT)
+    params = _read_params(take, variant, path, "<f8")
+    _check_finite(params, path)
+    return _built(path, DenseModel, *params, variant)
 
 
 def save_qmodel(qmodel: QuantizedModel, path) -> None:
     qp = qmodel.qparams
-    header = _pack_header(MAGIC_QUANT, qmodel.variant) + struct.pack(
-        "<Bdidd", MODES.index(qp.mode), qp.scale, qp.zero_point, qp.alpha, qp.beta
-    )
-    _save(qmodel, path, header, np.int8)
+    block = struct.pack(_QPARAMS, MODES.index(qp.mode), qp.scale, qp.zero_point,
+                        qp.alpha, qp.beta)
+    _save(qmodel, path, MAGIC_QUANT, block, np.int8)
 
 
 def load_qmodel(path) -> QuantizedModel:
-    rd = _open_checked(path, MAGIC_QUANT)
-    mode_flag, scale, zero_point, alpha, beta = rd.unpack("<Bdidd")
+    take, variant = _open(path, MAGIC_QUANT)
+    mode_flag, scale, zero_point, alpha, beta = take(_QPARAMS)
     if mode_flag >= len(MODES):
         raise ChecksumError(f"{path}: unknown quantization mode byte {mode_flag}")
     qp = _built(path, QuantParams, scale, zero_point, alpha, beta, MODES[mode_flag])
-    return _built(path, QuantizedModel, *_read_params(rd, np.int8), qparams=qp,
-                  variant=rd.variant)
+    return _built(path, QuantizedModel, *_read_params(take, variant, path, np.int8),
+                  qparams=qp, variant=variant)
 
 
-def model_to_json(model: DenseModel) -> dict:
-    return {
-        "format": "tinyecg-dense",
-        "version": FORMAT_VERSION,
-        "variant": model.variant,
-        "layers": [
-            {
-                "fan_in": w.shape[0],
-                "fan_out": w.shape[1],
-                "activation": activation,
-                "weights": w.tolist(),
-                "bias": b.tolist(),
-            }
-            for (w, b), activation in zip(model.pairs, VARIANTS[model.variant])
-        ],
-    }
+def model_to_json(model) -> dict:
+    """The JSON mirror of a float or int8 model (which adds its quantization)."""
+    doc = {"format": "tinyecg-dense", "version": FORMAT_VERSION, "variant": model.variant}
+    if isinstance(model, QuantizedModel):
+        qp = model.qparams
+        doc.update(format="tinyecg-int8", mode=qp.mode, scale=qp.scale,
+                   zero_point=qp.zero_point, alpha=qp.alpha, beta=qp.beta)
+    doc["layers"] = [
+        {"fan_in": w.shape[0], "fan_out": w.shape[1], "activation": activation,
+         "weights": w.tolist(), "bias": b.tolist()}
+        for (w, b), activation in zip(model.pairs, VARIANTS[model.variant])
+    ]
+    return doc
 
 
-def qmodel_to_json(qmodel: QuantizedModel) -> dict:
-    qp = qmodel.qparams
-    return {
-        "format": "tinyecg-int8",
-        "version": FORMAT_VERSION,
-        "variant": qmodel.variant,
-        "mode": qp.mode,
-        "scale": qp.scale,
-        "zero_point": qp.zero_point,
-        "alpha": qp.alpha,
-        "beta": qp.beta,
-        "layers": [
-            {"weights": w.tolist(), "bias": b.tolist()}
-            for w, b in qmodel.pairs
-        ],
-    }
-
-
-def save_json_mirror(model_or_qmodel, path) -> None:
-    to_json = (
-        qmodel_to_json if isinstance(model_or_qmodel, QuantizedModel) else model_to_json
-    )
-    Path(path).write_text(json.dumps(to_json(model_or_qmodel), indent=2) + "\n")
+def save_json_mirror(model, path) -> None:
+    Path(path).write_text(json.dumps(model_to_json(model), indent=2) + "\n")

@@ -212,6 +212,24 @@ class TestTrain:
         assert "learning_rate" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverged_model_not_written(self, tmp_path, capsys):
+        # a learning rate this large drives the weights to inf; the model file
+        # would be one load_model rejects and its mirror would not be JSON
+        from tinyecg.synthetic import separable_beatset
+
+        separable_beatset(30).save(tmp_path / "sep.npz")
+        out = tmp_path / "big.tnn"
+        code = main([
+            "train", "--beats", str(tmp_path / "sep.npz"), "--variant", "relu-softmax",
+            "--epochs", "50", "--learning-rate", "1e300", "--out", str(out),
+        ])
+        assert code == EXIT_INPUT
+        assert f"error: {out}: w1 holds a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+        assert not Path(f"{out}.json").exists()
+
     def test_output_path_a_directory_rejected(self, workspace, tmp_path, capsys):
         # it used to end in an IsADirectoryError traceback
         code = main([
@@ -493,13 +511,16 @@ class TestEval:
 
     @pytest.mark.parametrize("command", ["eval", "quantize"])
     def test_non_finite_model_rejected_naming_path(self, workspace, tmp_path, capsys,
-                                                   command):
-        # a CRC-valid .tnm of NaN parameters used to label every beat N
-        # (eval) or fail converting NaN to an integer (quantize)
+                                                   patch_checked_byte, command):
+        # a CRC-valid .tnm with a NaN parameter used to label every beat N
+        # (eval) or fail converting NaN to an integer (quantize); save_model
+        # refuses NaN, so set the top two bytes of w2's first float64 to F8 7F
         model = glorot_init([(61, 10), (10, 4)], "sigmoid-sigmoid", np.random.default_rng(0))
-        model.w2[:] = np.nan
         path = tmp_path / "nan.tnn"
         save_model(model, path)
+        w2_at = path.stat().st_size - 4 - 8 * (model.w2.size + model.b2.size)
+        patch_checked_byte(path, w2_at + 6, 0xF8)
+        patch_checked_byte(path, w2_at + 7, 0x7F)
         args = {"eval": ["--beats", str(workspace / "beats.npz")],
                 "quantize": ["--out", str(tmp_path / "nan.tnq")]}[command]
         code = main([command, "--model", str(path), *args])

@@ -193,3 +193,23 @@ def test_stream_push_is_the_reference_loop_bit_for_bit(fs, offset, segments):
     reference = np.array(reference_stream(spec, x))
     assert got.tobytes() == reference.tobytes()
     np.testing.assert_allclose(preprocess(x, spec), reference, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.lists(st.floats(-1000.0, 1000.0), min_size=1, max_size=120),
+    where=st.integers(0, 119),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_one_non_finite_sample_rejected_by_both_chains(x, where, bad):
+    # the batch chain names the bad sample's index; the stream raises on it
+    where %= len(x)
+    x[where] = bad
+    spec = FilterSpec(FS)
+    with pytest.raises(ValueError, match=rf"non-finite sample .* at index {where}$"):
+        preprocess(x, spec)
+    stream = StreamingPreprocessor(spec)
+    for v in x[:where]:
+        stream.push(v)
+    with pytest.raises(ValueError, match="non-finite"):
+        stream.push(x[where])

@@ -1,7 +1,11 @@
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinyecg.modelio import (
     ChecksumError,
@@ -80,16 +84,31 @@ class TestFloatFormat:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("index", range(4), ids=["w1", "b1", "w2", "b2"])
-    def test_non_finite_parameter_rejected(self, model, tmp_path, index, value):
+    def test_non_finite_parameter_rejected(self, model, tmp_path, patch_checked_byte,
+                                           index, value):
         # the CRC guards the bytes, not their meaning: a NaN model would
-        # label every beat N
-        model.parameters[index].flat[0] = value
+        # label every beat N. The writer refuses such a model, so write the
+        # value's eight bytes over the parameter's first element in the file.
         path = tmp_path / "nan.tnn"
         save_model(model, path)
+        start = path.stat().st_size - 4 - 8 * model.param_count
+        start += 8 * sum(p.size for p in model.parameters[:index])
+        for i, byte in enumerate(struct.pack("<d", value)):
+            patch_checked_byte(path, start + i, byte)
         name = ("w1", "b1", "w2", "b2")[index]
         with pytest.raises(ValueError, match=f"nan.tnn: {name} holds a non-finite value") as exc:
             load_model(path)
         assert not isinstance(exc.value, ChecksumError)
+
+    @pytest.mark.parametrize("index", range(4), ids=["w1", "b1", "w2", "b2"])
+    def test_non_finite_save_refused(self, model, tmp_path, index):
+        # the writer refuses what the reader rejects, before writing anything
+        model.parameters[index].flat[-1] = np.inf
+        path = tmp_path / "inf.tnn"
+        name = ("w1", "b1", "w2", "b2")[index]
+        with pytest.raises(ValueError, match=f"inf.tnn: {name} holds a non-finite value"):
+            save_model(model, path)
+        assert not path.exists()
 
     def test_wrong_magic_rejected(self, model, qmodel, tmp_path, patch_checked_byte):
         # a CRC-valid model of the other kind is unusable input naming both
@@ -166,8 +185,9 @@ class TestLayerHeaderCheck:
 
 
 class TestLayerWidthCheck:
-    """A CRC-valid file whose layer 1 width is not layer 2's input width
-    is rejected before any parameter is read, in both formats."""
+    """A CRC-valid file whose layer 1 width is not layer 2's input width, or
+    whose widths promise fewer parameters than it holds, is rejected, in both
+    formats."""
 
     @pytest.mark.parametrize("quantized", [False, True], ids=["tnn", "tnq"])
     def test_disagreeing_widths_rejected(self, tmp_path, write_mismatched_model, quantized):
@@ -175,6 +195,66 @@ class TestLayerWidthCheck:
         write_mismatched_model(path, quantized)
         with pytest.raises(ChecksumError, match="layer widths disagree: 10 vs 9"):
             (load_qmodel if quantized else load_model)(path)
+
+    @pytest.mark.parametrize("quantized", [False, True], ids=["tnn", "tnq"])
+    def test_header_promising_fewer_parameters_rejected(
+        self, model, qmodel, tmp_path, patch_checked_byte, quantized
+    ):
+        # layer 2's fan_out 4 -> 3 leaves W2's last column and b2's last
+        # value, 11 parameters, after the ones the header promises; it used
+        # to load as a 61-10-3 model
+        path = tmp_path / "m.bin"
+        if quantized:
+            save_qmodel(qmodel, path)
+            pos, load, itemsize = first_activation_byte(path, QPARAM_BYTES), load_qmodel, 1
+        else:
+            save_model(model, path)
+            pos, load, itemsize = first_activation_byte(path), load_model, 8
+        fan_out_2 = pos + 1 + 4  # after layer 1's activation byte and layer 2's fan_in
+        assert path.read_bytes()[fan_out_2] == 4
+        patch_checked_byte(path, fan_out_2, 3)
+        with pytest.raises(ChecksumError, match=f"{11 * itemsize} bytes after the last param"):
+            load(path)
+
+
+SAVED = ("m.tnm", "symmetric.tnq", "asymmetric.tnq")
+
+
+@pytest.fixture(scope="module")
+def saved_dir(tmp_path_factory):
+    """A directory holding a saved .tnm and its symmetric and asymmetric .tnq."""
+    work = tmp_path_factory.mktemp("saved")
+    model = standard_model("relu-softmax", seed=4)
+    save_model(model, work / "m.tnm")
+    for mode in ("symmetric", "asymmetric"):
+        save_qmodel(quantize_model(model, mode), work / f"{mode}.tnq")
+    return work
+
+
+class TestReaderProperty:
+    """Every CRC-valid edit or truncation of a saved file either raises
+    ChecksumError or ValueError, or loads a model whose re-save is the file."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_edited_file_raises_or_round_trips(self, saved_dir, data):
+        name = data.draw(st.sampled_from(SAVED))
+        body = bytearray((saved_dir / name).read_bytes()[:-4])
+        # the headers fill the first 37 (.tnm) or 66 (.tnq) bytes
+        position = st.one_of(st.integers(0, 80), st.integers(0, len(body) - 1))
+        for pos, value in data.draw(st.lists(st.tuples(position, st.integers(0, 255)),
+                                             max_size=3)):
+            body[pos] = value
+        body = body[: data.draw(st.none() | st.integers(0, len(body)))]
+        path, resaved = saved_dir / f"edited.{name}", saved_dir / f"resaved.{name}"
+        path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        load, save = (load_model, save_model) if name == "m.tnm" else (load_qmodel, save_qmodel)
+        try:
+            loaded = load(path)
+        except ValueError:  # ChecksumError is a ValueError
+            return
+        save(loaded, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
 
 
 class TestQuantFormat:
@@ -240,9 +320,17 @@ class TestJsonMirror:
         parsed = json.loads((tmp_path / "m.json").read_text())
         assert parsed["layers"][1]["fan_out"] == 4
 
-    def test_quantized_mirror(self, qmodel, tmp_path):
+    def test_quantized_mirror(self, model, qmodel, tmp_path):
         save_json_mirror(qmodel, tmp_path / "q.json")
         parsed = json.loads((tmp_path / "q.json").read_text())
+        assert parsed["format"] == "tinyecg-int8"
         assert parsed["mode"] == "symmetric"
         assert parsed["zero_point"] == 0
         assert np.array(parsed["layers"][0]["weights"]).shape == (61, 10)
+        # each layer carries what the binary header stores, as the float mirror does
+        float_layers = model_to_json(model)["layers"]
+        for layer, float_layer, (w, b) in zip(parsed["layers"], float_layers, qmodel.pairs):
+            for key in ("fan_in", "fan_out", "activation"):
+                assert layer[key] == float_layer[key]
+            assert layer["weights"] == w.tolist()
+            assert layer["bias"] == b.tolist()
