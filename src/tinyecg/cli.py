@@ -127,13 +127,16 @@ def cmd_eval(args) -> int:
     beats = _select_split(beats, args.split, args.train_fraction, args.seed)
     if len(beats) == 0:
         raise ValueError("no beats to evaluate")
-    if args.inference_mode == "default":
-        predicted = predict_labels(modelio.load_model(args.model), beats.windows)
+    mode = args.inference_mode
+    model = (modelio.load_model if mode == "default" else modelio.load_qmodel)(args.model)
+    if model.shapes[0][0] != beats.windows.shape[1]:
+        raise ValueError(f"{args.model}: model takes {model.shapes[0][0]}-sample beats, "
+                         f"{args.beats} holds {beats.windows.shape[1]}-sample windows")
+    if mode == "default":
+        predicted = predict_labels(model, beats.windows)
     else:
         predicted = predict_labels_quantized(
-            modelio.load_qmodel(args.model), beats.windows,
-            temporary=args.inference_mode == "temporary-dequantized",
-        )
+            model, beats.windows, temporary=mode == "temporary-dequantized")
 
     report = metrics.scores(metrics.confusion(beats.labels, predicted))
     if args.json:

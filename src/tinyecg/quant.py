@@ -17,10 +17,10 @@ int8 codes instead and rescales once per output neuron (Jacob et al.
 2018). With one global scale s and zero point z,
 x @ s(W_q + z) + s(b_q + z) = s(x @ W_q + b_q + z(sum(x) + 1)), so the
 two routes are equal in real arithmetic and differ only in rounding.
-The live stream takes the factored kernel; batch eval
-(`predict_labels_quantized`) hands the deployed per-parameter route,
-`_per_parameter_layer`, to the one label loop, `nn.predict_labels`,
-which walks one beat at a time. `forward_quantized_only`
+The live stream takes the factored kernel; batch eval hands the deployed
+per-parameter route, `_per_parameter_layer`, to `nn.predict_labels`, which
+walks one beat at a time; that kernel runs on Python numbers, bit for bit
+the numpy-scalar loop at a fraction of its cost. `forward_quantized_only`
 instead feeds the raw integer codes to the float kernel `nn.dense`, the
 cheapest (and least accurate) deployment mode.
 """
@@ -152,16 +152,18 @@ def _temporary_layer(x, w_q, b_q, q: QuantParams) -> np.ndarray:
 
 
 def _per_parameter_layer(x, w_q, b_q, q: QuantParams) -> np.ndarray:
-    """The deployed kernel's affine map: each parameter dequantized at its use."""
-    fan_in, fan_out = w_q.shape
-    s, z = q.scale, q.zero_point
-    result = np.zeros(fan_out)
-    for j in range(fan_out):
+    """The deployed kernel's affine map: each parameter dequantized at its use.
+    Runs on Python floats, several times cheaper per op than numpy scalars, and
+    sums with `+=` from 0.0 in ascending k, as the device does: from Python 3.12
+    `sum()` of floats is compensated (Neumaier) and would change the last bits."""
+    s, z, xs = q.scale, q.zero_point, x.tolist()
+    result = []
+    for column, b in zip(w_q.T.tolist(), b_q.tolist()):
         acc = 0.0
-        for k in range(fan_in):
-            acc += x[k] * (s * (float(w_q[k, j]) + z))  # dequantized here, then dropped
-        result[j] = acc + s * (float(b_q[j]) + z)
-    return result
+        for x_k, w in zip(xs, column):
+            acc += x_k * (s * (w + z))  # dequantized here, then dropped
+        result.append(acc + s * (b + z))
+    return np.array(result)
 
 
 def forward_temporary_dequantized(qmodel: QuantizedModel, beat) -> np.ndarray:
@@ -180,9 +182,9 @@ def predict_labels_quantized(
 ) -> np.ndarray:
     """Predicted class codes for an array of windows, from `nn.predict_labels`.
 
-    `temporary` runs the deployed kernel's per-parameter route; the live
-    stream calls the factored `forward_temporary_dequantized` per beat.
-    """
+    `temporary` runs the deployed kernel's per-parameter route on Python
+    numbers, summed by `+=` as on the device (not `sum()`, compensated from
+    Python 3.12); the live stream calls the factored kernel per beat."""
     kernel, args = (_per_parameter_layer, (qmodel.qparams,)) if temporary else (dense, ())
     return predict_labels(qmodel, windows, kernel, *args)
 

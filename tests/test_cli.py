@@ -538,6 +538,27 @@ class TestEval:
             ])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("mode", ["default", "quantized", "temporary-dequantized"])
+    def test_other_input_width_rejected_naming_the_files(self, workspace, tmp_path, capsys,
+                                                        mode):
+        # a 60-10-4 model against 61-sample beats used to exit 3 with
+        # "expected shape (60,) or (n, 60), got (61,)", naming no file
+        narrow = glorot_init([(60, 10), (10, 4)], "sigmoid-sigmoid", np.random.default_rng(0))
+        if mode == "default":
+            path = tmp_path / "narrow.tnm"
+            save_model(narrow, path)
+        else:
+            path = tmp_path / "narrow.tnq"
+            save_qmodel(quantize_model(narrow), path)
+        beats = workspace / "beats.npz"
+        code = main(["eval", "--model", str(path), "--beats", str(beats),
+                     "--inference-mode", mode])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"error: {path}: model takes 60-sample beats, "
+                f"{beats} holds 61-sample windows\n") in captured.err
+
 
 class TestStream:
     def test_zero_signal_no_events(self, workspace, tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tinyecg.dsp import FilterSpec
 from tinyecg.nn import (
@@ -426,6 +427,72 @@ class TestBatchWalk:
             top_two = np.sort(per_beat, axis=1)[:, -2:]
             clear = top_two[:, 1] - top_two[:, 0] > 1e-8
             np.testing.assert_array_equal(labels[clear], per_beat.argmax(axis=1)[clear])
+
+
+def numpy_scalar_layer(x, w_q, b_q, q: QuantParams) -> np.ndarray:
+    """The deployed kernel as first written, on numpy scalars: the oracle
+    that `_per_parameter_layer` must match bit for bit."""
+    fan_in, fan_out = w_q.shape
+    s, z = q.scale, q.zero_point
+    result = np.zeros(fan_out)
+    for j in range(fan_out):
+        acc = 0.0
+        for k in range(fan_in):
+            acc += x[k] * (s * (float(w_q[k, j]) + z))  # dequantized here, then dropped
+        result[j] = acc + s * (float(b_q[j]) + z)
+    return result
+
+
+@st.composite
+def int8_models(draw) -> QuantizedModel:
+    """Random 61-10-4 int8 codes, scale and zero point (0, +-254 or any
+    int32 the .tnq format stores)."""
+    zero_point = draw(st.sampled_from([0, 254, -254]) | st.integers(-2**31, 2**31 - 1))
+    q = QuantParams(
+        scale=draw(st.floats(1e-6, 1e3)),
+        zero_point=zero_point,
+        alpha=-10.0,
+        beta=10.0,
+        mode="symmetric" if zero_point == 0 else "asymmetric",
+    )
+    codes = lambda shape: draw(hnp.arrays(np.int8, shape, elements=st.integers(-127, 127)))
+    return QuantizedModel(codes((61, 10)), codes(10), codes((10, 4)), codes(4), q,
+                          draw(st.sampled_from(sorted(VARIANTS))))
+
+
+def seed_7997_tie():
+    """`TestPredictLabels`' pinned beat: an exact two-way N/S tie."""
+    rng = np.random.default_rng(7997)
+    qm = random_qmodel(rng, "sigmoid-softmax", 0)
+    return qm, rng.uniform(0, 2, (23, 61))[22]
+
+
+class TestPerParameterKernel:
+    TIE_MODEL, TIE_BEAT = seed_7997_tie()
+
+    @settings(deadline=None)
+    @given(
+        qm=int8_models(),
+        # zeros, negatives and magnitudes from subnormal to 1e6 in one beat
+        beat=hnp.arrays(np.float64, 61, elements=st.one_of(
+            st.just(0.0), st.floats(-1.0, 1.0), st.floats(-1e6, 1e6))),
+    )
+    @example(qm=TIE_MODEL, beat=TIE_BEAT)
+    def test_matches_numpy_scalar_oracle(self, qm, beat):
+        # Python numbers run the same IEEE operations in the same order as
+        # numpy scalars: every layer's pre-activation and the output are
+        # bit-identical (an fsum or np.dot accumulation is not)
+        for (z, a), (z_ref, a_ref) in zip(layers(qm, beat, _per_parameter_layer, qm.qparams),
+                                          layers(qm, beat, numpy_scalar_layer, qm.qparams)):
+            assert z.dtype == z_ref.dtype and z.shape == z_ref.shape
+            assert z.tobytes() == z_ref.tobytes()
+            assert a.tobytes() == a_ref.tobytes()
+
+    def test_seed_7997_tie_labels_s(self):
+        # the deployed route breaks the tie to S and the factored kernel to N
+        labels = predict_labels_quantized(self.TIE_MODEL, [self.TIE_BEAT], temporary=True)
+        np.testing.assert_array_equal(labels, [1])
+        assert np.argmax(forward_temporary_dequantized(self.TIE_MODEL, self.TIE_BEAT)) == 0
 
 
 class TestForwardQuantizedOnly:
