@@ -7,9 +7,8 @@ preprocessing chain's output at six rates (5, 61 and 5,000 samples, the
 last an ECG riding on a DC offset of 1024), trained
 parameters and loss curves (`fit`, `distill`, `prune_and_retrain`,
 `fit_weights_only`) for all four variants, both
-quantization modes, every forward (per beat and batched, and the deployed
-per-parameter kernel's raw outputs) and `predict_labels*` in all three
-inference modes, saved
+quantization modes, every forward (per beat and batched) and
+`predict_labels*` in all three inference modes, saved
 `.tnm`/`.tnq` bytes with their JSON mirrors, the loaders' error class and
 message for every single-byte edit (the byte inverted, CRC recomputed) and
 every truncation of a saved `.tnm` and `.tnq`, `tinyecg quantize`'s
@@ -193,9 +192,6 @@ def lines(epochs: int, work: Path):
             yield f"predict_labels_quantized.{mode}.{variant}", digest(
                 quant.predict_labels_quantized(qmodel, windows[:40], temporary=True),
                 quant.predict_labels_quantized(qmodel, windows, temporary=False))
-            # the deployed kernel's raw outputs: labels hide a last-bit change
-            yield f"per_parameter_layer.{mode}.{variant}", digest(*(
-                forward(qmodel, w, quant._per_parameter_layer, qp) for w in windows))
             path = work / f"{variant}.{mode}.tnq"
             modelio.save_qmodel(qmodel, path)
             modelio.save_json_mirror(qmodel, work / f"{variant}.{mode}.tnq.json")

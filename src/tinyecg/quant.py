@@ -9,20 +9,19 @@ buffer, `flat`, which (de)quantizing a model maps in one call.
 
 Every int8 inference, one beat or a batch, runs through `nn.forward`,
 the walk float models and training use too; only the layer kernel (the
-affine map) differs. The deployed kernel
-keeps its parameters int8-resident and scales each one back to a real
-value at its moment of use, so the working set grows by a few bytes
-instead of 4x. The host kernel `_temporary_layer` accumulates on the
-int8 codes instead and rescales once per output neuron (Jacob et al.
-2018). With one global scale s and zero point z,
+affine map) differs. The deployed kernel on the device keeps its
+parameters int8-resident and scales each one back to a real value at its
+moment of use, so the working set grows by a few bytes instead of 4x.
+The host kernel `_temporary_layer` accumulates on the int8 codes instead
+and rescales once per output neuron (Jacob et al. 2018). With one global
+scale s and zero point z,
 x @ s(W_q + z) + s(b_q + z) = s(x @ W_q + b_q + z(sum(x) + 1)), so the
 two routes are equal in real arithmetic and differ only in rounding.
-The live stream takes the factored kernel; batch eval hands the deployed
-per-parameter route, `_per_parameter_layer`, to `nn.predict_labels`, which
-walks one beat at a time; that kernel runs on Python numbers, bit for bit
-the numpy-scalar loop at a fraction of its cost. `forward_quantized_only`
-instead feeds the raw integer codes to the float kernel `nn.dense`, the
-cheapest (and least accurate) deployment mode.
+Only the host kernel runs here: the live stream calls it per beat and
+batch eval makes that same call for each beat, so eval scores the label
+the stream gives. `forward_quantized_only` instead feeds the raw integer
+codes to the float kernel `nn.dense`, the cheapest (and least accurate)
+deployment mode.
 """
 
 from __future__ import annotations
@@ -151,21 +150,6 @@ def _temporary_layer(x, w_q, b_q, q: QuantParams) -> np.ndarray:
     return acc
 
 
-def _per_parameter_layer(x, w_q, b_q, q: QuantParams) -> np.ndarray:
-    """The deployed kernel's affine map: each parameter dequantized at its use.
-    Runs on Python floats, several times cheaper per op than numpy scalars, and
-    sums with `+=` from 0.0 in ascending k, as the device does: from Python 3.12
-    `sum()` of floats is compensated (Neumaier) and would change the last bits."""
-    s, z, xs = q.scale, q.zero_point, x.tolist()
-    result = []
-    for column, b in zip(w_q.T.tolist(), b_q.tolist()):
-        acc = 0.0
-        for x_k, w in zip(xs, column):
-            acc += x_k * (s * (w + z))  # dequantized here, then dropped
-        result.append(acc + s * (b + z))
-    return np.array(result)
-
-
 def forward_temporary_dequantized(qmodel: QuantizedModel, beat) -> np.ndarray:
     """Inference with int8-resident parameters, rescaled by the global scale;
     one beat or a batch, as `nn.forward`."""
@@ -182,10 +166,9 @@ def predict_labels_quantized(
 ) -> np.ndarray:
     """Predicted class codes for an array of windows, from `nn.predict_labels`.
 
-    `temporary` runs the deployed kernel's per-parameter route on Python
-    numbers, summed by `+=` as on the device (not `sum()`, compensated from
-    Python 3.12); the live stream calls the factored kernel per beat."""
-    kernel, args = (_per_parameter_layer, (qmodel.qparams,)) if temporary else (dense, ())
+    `temporary` runs `_temporary_layer` one beat at a time, the call the
+    live stream makes per beat, so both give every beat the same label."""
+    kernel, args = (_temporary_layer, (qmodel.qparams,)) if temporary else (dense, ())
     return predict_labels(qmodel, windows, kernel, *args)
 
 
@@ -205,7 +188,8 @@ def flops_report(shapes) -> FlopsReport:
 
 
 def kernel_flops_report(shapes, zero_point: int) -> FlopsReport:
-    """Operations the factored host kernel `_temporary_layer` performs, per layer.
+    """Operations the host kernel `_temporary_layer` performs, per layer:
+    the kernel behind both `stream` and temporary-dequantized `eval`.
 
     The booked count plus one rescale per output neuron. A nonzero zero
     point adds the sum of the inputs (fan_in - 1 adds), its + 1 and its

@@ -12,14 +12,17 @@ import tinyecg
 from tinyecg import ingest
 from tinyecg.cli import EXIT_BUDGET, EXIT_CHECKSUM, EXIT_INPUT, EXIT_OK, main
 from tinyecg.ingest import BeatSet
-from tinyecg.modelio import save_model, save_qmodel
+from tinyecg.labels import CLASSES
+from tinyecg.modelio import load_qmodel, save_model, save_qmodel
 from tinyecg.nn import DenseModel, glorot_init
-from tinyecg.quant import quantize_model
+from tinyecg.quant import forward_temporary_dequantized, quantize_model
 from tinyecg.synthetic import (
     labeled_recording,
     write_annotation_csv,
     write_signal_csv,
 )
+
+from test_quant import seed_7997_tie
 
 
 @pytest.fixture(scope="module")
@@ -558,6 +561,21 @@ class TestEval:
         assert captured.out == ""
         assert (f"error: {path}: model takes 60-sample beats, "
                 f"{beats} holds 61-sample windows\n") in captured.err
+
+    def test_tdq_eval_labels_a_tie_as_the_stream(self, tmp_path, capsys):
+        # on this exact N/S tie the deployed per-parameter route says S;
+        # eval scores the label the stream's kernel gives (N)
+        qm, beat = seed_7997_tie()
+        save_qmodel(qm, tmp_path / "tie.tnq")
+        stream_label = int(np.argmax(forward_temporary_dequantized(
+            load_qmodel(tmp_path / "tie.tnq"), beat)))
+        BeatSet(beat[None, :], np.array([stream_label])).save(tmp_path / "tie.npz")
+        assert main(["eval", "--model", str(tmp_path / "tie.tnq"),
+                     "--beats", str(tmp_path / "tie.npz"),
+                     "--inference-mode", "temporary-dequantized", "--json"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["accuracy"] == 1.0
+        assert doc["per_class"][CLASSES[stream_label]]["recall"] == 1.0
 
 
 class TestStream:

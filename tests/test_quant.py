@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from tinyecg.dsp import FilterSpec
 from tinyecg.nn import (
@@ -22,7 +21,6 @@ from tinyecg.quant import (
     DegenerateRangeError,
     QuantParams,
     QuantizedModel,
-    _per_parameter_layer,
     _temporary_layer,
     compute_qparams,
     dequantize,
@@ -284,10 +282,10 @@ class TestForwardTemporaryDequantized:
     def test_factored_kernel_matches_dequantized_values(self, variant, zero_point, seed):
         # rescaling once per output neuron, with the zero-point term
         # s*z*(sum(x) + 1), gives the per-parameter dequantized values,
-        # and so does the deployed per-parameter route. The pre-activations
-        # are compared too, since a saturated sigmoid hides their
-        # differences in the outputs; they reach about 5e7 here, so their
-        # bound is relative.
+        # and so does the deployed per-parameter route, `numpy_scalar_layer`.
+        # The pre-activations are compared too, since a saturated sigmoid
+        # hides their differences in the outputs; they reach about 5e7
+        # here, so their bound is relative.
         rng = np.random.default_rng(seed)
         qm = random_qmodel(rng, variant, zero_point)
         beat = rng.uniform(0, 2, 61)
@@ -295,10 +293,10 @@ class TestForwardTemporaryDequantized:
         expected = forward(dequantized, beat)
         for got in (
             forward_temporary_dequantized(qm, beat),
-            forward(qm, beat, _per_parameter_layer, qm.qparams),
+            forward(qm, beat, numpy_scalar_layer, qm.qparams),
         ):
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
-        for kernel in (_temporary_layer, _per_parameter_layer):
+        for kernel in (_temporary_layer, numpy_scalar_layer):
             for (z, _), (z_ref, _) in zip(layers(qm, beat, kernel, qm.qparams),
                                           layers(dequantized, beat)):
                 np.testing.assert_allclose(z, z_ref, rtol=1e-9, atol=1e-9)
@@ -324,7 +322,7 @@ class TestWalkRecord:
             "float": (dequantize_model(qm), dense, ()),
             "codes": (qm, dense, ()),
             "factored": (qm, _temporary_layer, (qm.qparams,)),
-            "per-parameter": (qm, _per_parameter_layer, (qm.qparams,)),
+            "per-parameter": (qm, numpy_scalar_layer, (qm.qparams,)),
         }[route]
         beat = rng.uniform(0, 2, 61)
         walk = layers(model, beat, kernel, *args)
@@ -359,14 +357,16 @@ class TestPredictLabels:
     )
     @example(variant="relu-softmax", zero_point=0, n_beats=0, seed=0)
     @example(variant="sigmoid-sigmoid", zero_point=37, n_beats=0, seed=0)
-    # beat 22 is an exact two-way tie that the routes break differently
+    # beat 22 is an exact two-way tie that the kernels break differently
     @example(variant="sigmoid-softmax", zero_point=0, n_beats=23, seed=7997)
     def test_match_per_beat_argmax(self, variant, zero_point, n_beats, seed):
         # labels for an array of windows equal each beat's argmax of the
         # same route in every mode, and no beats gives no labels, not an
-        # error. Across routes (the factored kernel, the dequantized float
-        # model) outputs agree only up to rounding, so labels are compared
-        # only where the per-parameter route's top two are > 1e-8 apart.
+        # error; tdq labels are the stream's per-beat labels on every beat,
+        # ties included. Across routes (the factored kernel, the
+        # dequantized float model) outputs agree only up to rounding, so
+        # labels are compared only where the factored top two are > 1e-8
+        # apart.
         rng = np.random.default_rng(seed)
         qm = random_qmodel(rng, variant, zero_point)
         model = dequantize_model(qm)
@@ -380,17 +380,25 @@ class TestPredictLabels:
         quantized = predict_labels_quantized(qm, windows, temporary=False)
         for labels in (default, tdq, quantized):
             assert labels.dtype == np.int64 and labels.shape == (n_beats,)
-        per_parameter = outputs(forward, qm, _per_parameter_layer, qm.qparams)
+        factored = outputs(forward_temporary_dequantized, qm)
         np.testing.assert_array_equal(default, outputs(forward, model).argmax(axis=1))
-        np.testing.assert_array_equal(tdq, per_parameter.argmax(axis=1))
+        np.testing.assert_array_equal(tdq, factored.argmax(axis=1))
         np.testing.assert_array_equal(
             quantized, outputs(forward_quantized_only, qm).argmax(axis=1)
         )
-        top_two = np.sort(per_parameter, axis=1)[:, -2:]
+        top_two = np.sort(factored, axis=1)[:, -2:]
         clear = top_two[:, 1] - top_two[:, 0] > 1e-8
-        factored = outputs(forward_temporary_dequantized, qm).argmax(axis=1)
-        np.testing.assert_array_equal(tdq[clear], factored[clear])
         np.testing.assert_array_equal(tdq[clear], default[clear])
+
+    def test_seed_7997_tie_labels_as_the_stream(self):
+        # on this exact N/S tie the deployed per-parameter route says S and
+        # the factored kernel N; eval gives the stream's label
+        qm, beat = seed_7997_tie()
+        assert np.argmax(forward(qm, beat, numpy_scalar_layer, qm.qparams)) == 1
+        stream_label = np.argmax(forward_temporary_dequantized(qm, beat))
+        assert stream_label == 0
+        labels = predict_labels_quantized(qm, [beat], temporary=True)
+        np.testing.assert_array_equal(labels, [stream_label])
 
 
 class TestBatchWalk:
@@ -409,7 +417,8 @@ class TestBatchWalk:
         # (numpy's matrix-matrix and matrix-vector products add in
         # different orders; 1e-12 failed for about 1 in 2,600 draws, 1e-11
         # for none of 45,000), and the labels of `predict_labels*` are the
-        # per-beat argmax wherever the top two are > 1e-8 apart
+        # per-beat argmax wherever the top two are > 1e-8 apart; tdq labels
+        # are the per-beat argmax on every beat, as the stream labels them
         rng = np.random.default_rng(seed)
         qm = random_qmodel(rng, variant, zero_point)
         model = dequantize_model(qm)
@@ -425,13 +434,16 @@ class TestBatchWalk:
             assert batch.shape == (n_beats, 4)
             np.testing.assert_allclose(batch, per_beat, rtol=0, atol=1e-11)
             top_two = np.sort(per_beat, axis=1)[:, -2:]
-            clear = top_two[:, 1] - top_two[:, 0] > 1e-8
+            exact = forward_fn is forward_temporary_dequantized
+            clear = exact | (top_two[:, 1] - top_two[:, 0] > 1e-8)
             np.testing.assert_array_equal(labels[clear], per_beat.argmax(axis=1)[clear])
 
 
 def numpy_scalar_layer(x, w_q, b_q, q: QuantParams) -> np.ndarray:
-    """The deployed kernel as first written, on numpy scalars: the oracle
-    that `_per_parameter_layer` must match bit for bit."""
+    """The deployed kernel's per-parameter route on numpy scalars, the
+    reference the factored kernel is compared with: each parameter is
+    dequantized at its use and summed by `+=` in ascending k, as on the
+    device."""
     fan_in, fan_out = w_q.shape
     s, z = q.scale, q.zero_point
     result = np.zeros(fan_out)
@@ -443,56 +455,11 @@ def numpy_scalar_layer(x, w_q, b_q, q: QuantParams) -> np.ndarray:
     return result
 
 
-@st.composite
-def int8_models(draw) -> QuantizedModel:
-    """Random 61-10-4 int8 codes, scale and zero point (0, +-254 or any
-    int32 the .tnq format stores)."""
-    zero_point = draw(st.sampled_from([0, 254, -254]) | st.integers(-2**31, 2**31 - 1))
-    q = QuantParams(
-        scale=draw(st.floats(1e-6, 1e3)),
-        zero_point=zero_point,
-        alpha=-10.0,
-        beta=10.0,
-        mode="symmetric" if zero_point == 0 else "asymmetric",
-    )
-    codes = lambda shape: draw(hnp.arrays(np.int8, shape, elements=st.integers(-127, 127)))
-    return QuantizedModel(codes((61, 10)), codes(10), codes((10, 4)), codes(4), q,
-                          draw(st.sampled_from(sorted(VARIANTS))))
-
-
 def seed_7997_tie():
     """`TestPredictLabels`' pinned beat: an exact two-way N/S tie."""
     rng = np.random.default_rng(7997)
     qm = random_qmodel(rng, "sigmoid-softmax", 0)
     return qm, rng.uniform(0, 2, (23, 61))[22]
-
-
-class TestPerParameterKernel:
-    TIE_MODEL, TIE_BEAT = seed_7997_tie()
-
-    @settings(deadline=None)
-    @given(
-        qm=int8_models(),
-        # zeros, negatives and magnitudes from subnormal to 1e6 in one beat
-        beat=hnp.arrays(np.float64, 61, elements=st.one_of(
-            st.just(0.0), st.floats(-1.0, 1.0), st.floats(-1e6, 1e6))),
-    )
-    @example(qm=TIE_MODEL, beat=TIE_BEAT)
-    def test_matches_numpy_scalar_oracle(self, qm, beat):
-        # Python numbers run the same IEEE operations in the same order as
-        # numpy scalars: every layer's pre-activation and the output are
-        # bit-identical (an fsum or np.dot accumulation is not)
-        for (z, a), (z_ref, a_ref) in zip(layers(qm, beat, _per_parameter_layer, qm.qparams),
-                                          layers(qm, beat, numpy_scalar_layer, qm.qparams)):
-            assert z.dtype == z_ref.dtype and z.shape == z_ref.shape
-            assert z.tobytes() == z_ref.tobytes()
-            assert a.tobytes() == a_ref.tobytes()
-
-    def test_seed_7997_tie_labels_s(self):
-        # the deployed route breaks the tie to S and the factored kernel to N
-        labels = predict_labels_quantized(self.TIE_MODEL, [self.TIE_BEAT], temporary=True)
-        np.testing.assert_array_equal(labels, [1])
-        assert np.argmax(forward_temporary_dequantized(self.TIE_MODEL, self.TIE_BEAT)) == 0
 
 
 class TestForwardQuantizedOnly:
