@@ -54,6 +54,9 @@ def main() -> int:
         ["eval", "--model", str(work / "model.tnq"),
          "--beats", str(work / "beats.npz"), "--split", "test",
          "--inference-mode", "temporary-dequantized"],
+        ["eval", "--model", str(work / "model.tnq"),
+         "--beats", str(work / "beats.npz"), "--split", "test",
+         "--inference-mode", "quantized"],
         ["stream", "--signal", str(work / "replay.signal.csv"),
          "--qmodel", str(work / "model.tnq")],
     ]

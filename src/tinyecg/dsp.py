@@ -99,10 +99,10 @@ class StreamingPreprocessor:
 
     Feeding a recording one sample at a time produces the same values as
     the batch chain (up to float summation order in the trailing mean).
-    Holds the biquad's coefficients, one state tuple (its two DF2T state
-    values, then the derivative's last four bandpassed samples, newest
-    first) read and written once per push, and the MWI window, all as
-    Python floats: per-sample arithmetic on numpy scalars costs several
+    Holds the biquad's nonzero coefficients, one state tuple (its two DF2T
+    state values, then the derivative's last four bandpassed samples,
+    newest first) read and written once per push, and the MWI window, all
+    as Python floats: per-sample arithmetic on numpy scalars costs several
     times more. The window is summed afresh from its oldest sample on
     every push: a running add/subtract sum drifts from the batch chain.
     """
@@ -110,8 +110,8 @@ class StreamingPreprocessor:
     __slots__ = ("_coef", "_state", "_mwi")
 
     def __init__(self, spec: FilterSpec):
-        (b0, b1, b2), (_, a1, a2) = bandpass_coefficients(spec)  # a0 is 1
-        self._coef = (float(b0), float(b1), float(b2), float(a1), float(a2))
+        (b0, _, _), (_, a1, a2) = bandpass_coefficients(spec)  # b = b0·[1, 0, -1], a0 = 1
+        self._coef = (float(b0), float(a1), float(a2))
         # The taps are None until the first sample, which fills all four.
         self._state: tuple = (0.0, 0.0, None, None, None, None)
         self._mwi: deque[float] = deque(maxlen=MWI_WINDOW)
@@ -125,14 +125,18 @@ class StreamingPreprocessor:
         x = float(raw)
         if not isfinite(x):
             raise ValueError(f"non-finite sample {x!r}")
-        # Direct form II transposed, matching scipy.signal.lfilter.
-        b0, b1, b2, a1, a2 = self._coef
+        # Direct form II transposed, as scipy.signal.lfilter runs it, less the
+        # taps b = b0·[1, 0, -1] makes trivial: b1·x adds an exact zero and
+        # b2·x is -(b0·x) exactly, so only the sign of an exact zero can
+        # differ from the five-coefficient form, and the square removes it.
+        b0, a1, a2 = self._coef
         z0, z1, t0, t1, t2, t3 = self._state
-        y = b0 * x + z0
+        bx = b0 * x
+        y = bx + z0
         if t0 is None:
             t0 = t1 = t2 = t3 = y
         d = (2.0 * y + t0 - t2 - 2.0 * t3) / 8.0
-        self._state = (b1 * x + z1 - a1 * y, b2 * x - a2 * y, y, t0, t1, t2)
+        self._state = (z1 - a1 * y, -bx - a2 * y, y, t0, t1, t2)
 
         mwi = self._mwi
         mwi.append(d * d)

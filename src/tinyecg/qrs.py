@@ -10,7 +10,8 @@ history to support it.
 
 `RPeakDetector.push` is the live loop's one step: it feeds a sample
 through `push_sample` and hands back each beat's 61-sample window on the
-sample that completes it.
+sample that completes it. `push_sample` is the ring's one writer;
+`emit_window`, its one reader, alone maps an absolute index into the ring.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import islice
 import numpy as np
 
 from .dsp import FilterSpec, StreamingPreprocessor
-from .ingest import WINDOW_HALF
+from .ingest import WINDOW_HALF, WINDOW_LEN
 
 BUFFER_CAPACITY = 150
 REFRACTORY_S = 0.200
@@ -35,44 +36,34 @@ class WindowLostError(RuntimeError):
 
 
 class StreamBuffer:
-    """Ring of the newest preprocessed samples, addressed by absolute index; its
-    one writer, `RPeakDetector.push_sample`, appends to `ring` and advances `head`."""
+    """Ring of the newest preprocessed samples; `head` is the absolute index of
+    the newest. Its one writer, `RPeakDetector.push_sample`, appends to `ring`
+    and advances `head`; its one reader, `emit_window`, slices `ring`."""
 
     __slots__ = ("ring", "head")
 
     def __init__(self, capacity: int):
         self.ring: deque[float] = deque(maxlen=capacity)
-        self.head = -1  # absolute index of the newest stored sample
-
-    def __len__(self) -> int:
-        return len(self.ring)
-
-    @property
-    def tail(self) -> int:
-        """Absolute index of the oldest stored sample."""
-        return self.head - len(self.ring) + 1
-
-    def window(self, start: int, end: int) -> np.ndarray:
-        """Samples for absolute indices [start, end] inclusive."""
-        if start < self.tail:
-            raise WindowLostError(
-                f"window start {start} older than buffer tail {self.tail}"
-            )
-        if end > self.head:
-            raise IndexError(f"window end {end} beyond head {self.head}")
-        lo, n = start - self.tail, end - start + 1
-        return np.fromiter(islice(self.ring, lo, lo + n), np.float64, n)
+        self.head = -1
 
 
 def emit_window(buffer: StreamBuffer, r_index: int) -> np.ndarray | None:
     """61-sample window centered on a detected peak, or None if not yet buffered.
 
-    `StreamBuffer.window` raises WindowLostError when the peak has already
-    scrolled past the buffer capacity (the beat is lost).
+    Raises WindowLostError when the window's first sample has already
+    scrolled out of the ring (the beat is lost).
     """
-    if r_index + WINDOW_HALF > buffer.head:
+    head = buffer.head
+    if r_index + WINDOW_HALF > head:
         return None
-    return buffer.window(r_index - WINDOW_HALF, r_index + WINDOW_HALF)
+    ring = buffer.ring
+    oldest = head - len(ring) + 1
+    lo = r_index - WINDOW_HALF - oldest
+    if lo < 0:
+        raise WindowLostError(
+            f"window of peak {r_index} starts before the oldest buffered index {oldest}"
+        )
+    return np.fromiter(islice(ring, lo, lo + WINDOW_LEN), np.float64, WINDOW_LEN)
 
 
 class RPeakDetector:
@@ -110,8 +101,9 @@ class RPeakDetector:
 
         Peaks are detected in index order, one sample after the peak, so
         their windows complete in that order and at most one per sample:
-        only the oldest pending peak needs a check. Raises WindowLostError
-        if that window has already scrolled out of the buffer.
+        only the oldest pending peak needs a check. A window is emitted on
+        the sample that completes it, so `push` never loses a beat: only a
+        caller polling `emit_window` later can meet WindowLostError.
         """
         r = self.push_sample(raw)
         pending = self._pending

@@ -3,7 +3,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
@@ -37,6 +37,15 @@ class TestFilterSpec:
             b_ref, a_ref = sps.butter(1, [5.0, 15.0], btype="bandpass", fs=fs)
             assert (b.dtype, a.dtype) == (b_ref.dtype, a_ref.dtype)
             assert (b.tobytes(), a.tobytes()) == (b_ref.tobytes(), a_ref.tobytes()), fs
+
+    @given(fs=st.floats(30.0, 2000.0, exclude_min=True))
+    @example(fs=31.0)
+    @example(fs=360.0)
+    @example(fs=1000.0)
+    def test_bandpass_taps_are_b0_times_one_zero_minus_one(self, fs):
+        # StreamingPreprocessor.push drops b1 and computes b2·x as -(b0·x)
+        b, _ = bandpass_coefficients(FilterSpec(fs))
+        assert b[1] == 0.0 and b[2] == -b[0]
 
     @pytest.mark.parametrize("fs", [30.0, 20.0, 0.0, math.inf, -math.inf, math.nan])
     def test_invalid_band_rejected(self, fs):

@@ -53,37 +53,33 @@ def fill(buf, values):
         buf.head += 1
 
 
-class TestStreamBuffer:
-    def test_capacity_bound(self):
-        buf = StreamBuffer(capacity=5)
-        for i in range(20):
-            fill(buf, [float(i)])
-            assert len(buf) <= 5
-        assert buf.head == 19
-        assert buf.tail == 15
-        np.testing.assert_array_equal(buf.window(15, 19), [15, 16, 17, 18, 19])
-
-    def test_window_too_old_raises(self):
-        buf = StreamBuffer(capacity=5)
-        fill(buf, map(float, range(20)))
-        with pytest.raises(WindowLostError):
-            buf.window(10, 14)
-
-
 @given(
     capacity=st.integers(61, 400),
     extra=st.integers(0, 1000),
-    data=st.data(),
+    late=st.integers(-10, 420),
 )
-def test_ring_window_returns_pushed_values(capacity, extra, data):
-    # past any number of wraparounds, window(start, end) gives exactly the
-    # values pushed at those absolute indices
+@example(capacity=150, extra=1000, late=-1)  # one sample short: not yet buffered
+@example(capacity=150, extra=1000, late=89)  # window starts at the oldest sample
+@example(capacity=150, extra=1000, late=90)  # one sample older: lost
+def test_emit_window_returns_pushed_values(capacity, extra, late):
+    # past any number of wraparounds, the window of the peak whose window
+    # completed `late` samples ago is exactly the values pushed at its
+    # absolute indices, None before it completes, and lost once its first
+    # sample has left the ring
     buf = StreamBuffer(capacity)
     pushed = [float(i) * 0.5 - 7.0 for i in range(capacity + extra)]
     fill(buf, pushed)
-    start = data.draw(st.integers(buf.tail, buf.head), label="start")
-    end = data.draw(st.integers(start, min(buf.head, start + 60)), label="end")
-    np.testing.assert_array_equal(buf.window(start, end), pushed[start : end + 1])
+    r = buf.head - WINDOW_HALF - late
+    oldest = buf.head - capacity + 1
+    if late < 0:
+        assert emit_window(buf, r) is None
+    elif r - WINDOW_HALF < oldest:
+        with pytest.raises(WindowLostError, match=rf"peak {r} .* index {oldest}$"):
+            emit_window(buf, r)
+    else:
+        window = emit_window(buf, r)
+        assert window.dtype == np.float64
+        np.testing.assert_array_equal(window, pushed[r - WINDOW_HALF : r + WINDOW_HALF + 1])
 
 
 class TestEmitWindow:
@@ -243,7 +239,7 @@ class TestRPeakDetector:
         det = RPeakDetector(FilterSpec(FS))
         for v in signal:
             det.push_sample(v)
-            assert len(det.buffer) <= BUFFER_CAPACITY
+            assert len(det.buffer.ring) <= BUFFER_CAPACITY
 
     def test_levels_ordered_after_warmup(self):
         signal, _ = pulse_train(20, fs=FS, snr_db=20.0, seed=4)

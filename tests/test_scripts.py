@@ -60,7 +60,7 @@ def test_demo_synthetic(tmp_path):
     result = run_script("demo_synthetic.py", "--workdir", tmp_path)
     steps = [line for line in result.stdout.splitlines() if line.startswith("$ tinyecg ")]
     assert [step.split()[2] for step in steps] == [
-        "ingest", "train", "quantize", "eval", "eval", "stream"]
+        "ingest", "train", "quantize", "eval", "eval", "eval", "stream"]
     assert "# 10 beat(s) classified" in result.stderr
 
 
