@@ -11,11 +11,13 @@ distilled 61 -> 4 -> 4 student. Outputs follow the fixed class order
 N, S, V, F.
 
 Every forward, float or int8, inference or training, on one beat
-`(fan_in,)` or a batch `(n, fan_in)`, runs through one walk, `layers`: it
-checks the input's shape once, then per layer runs a kernel's affine map
-(`dense` is the float one) and the variant's activation, and returns each
-layer's (z, a); `forward` keeps the last a. `predict_labels`, the one label
-loop, float or int8, still walks a batch one beat at a time.
+`(fan_in,)`, a batch `(n, fan_in)` or a stack `(n, 1, fan_in)`, runs
+through one walk, `layers`: it checks the input's shape once, then per
+layer runs a kernel's affine map (`dense` is the float one) and the
+variant's activation, and returns each layer's (z, a); `forward` keeps the
+last a. `predict_labels`, the one label path, float or int8, walks the
+windows once as a stack, whose rows carry the one-beat call's scores bit
+for bit; training walks the 2-D batch.
 """
 
 from __future__ import annotations
@@ -192,15 +194,19 @@ def dense(x, w, b) -> np.ndarray:
 
 
 def layers(model, beat, kernel=dense, *args) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Walk one beat `(fan_in,)` or a batch `(n, fan_in)` through `model`,
-    float or int8: per layer, z = kernel(x, weights, bias, *args), then the
-    activation a the variant names. Returns `[(z1, a1), (z2, out)]`.
+    """Walk one beat `(fan_in,)`, a batch `(n, fan_in)` or a stack of beats
+    `(n, 1, fan_in)` through `model`, float or int8: per layer,
+    z = kernel(x, weights, bias, *args), then the activation a the variant
+    names. Returns `[(z1, a1), (z2, out)]`.
     """
     x = np.asarray(beat, dtype=np.float64)
     pairs = model.pairs
     fan_in = pairs[0][0].shape[0]
-    if x.shape != (fan_in,) and (x.ndim != 2 or x.shape[1] != fan_in):
-        raise ValueError(f"expected shape ({fan_in},) or (n, {fan_in}), got {x.shape}")
+    n = x.shape[:1]
+    if x.shape not in ((fan_in,), n + (fan_in,), n + (1, fan_in)):
+        raise ValueError(
+            f"expected shape ({fan_in},), (n, {fan_in}) or (n, 1, {fan_in}), got {x.shape}"
+        )
     walk = []
     for (w, b), activation in zip(pairs, VARIANTS[model.variant]):
         z = kernel(x, w, b, *args)
@@ -215,7 +221,16 @@ def forward(model, beat, kernel=dense, *args) -> np.ndarray:
 
 
 def predict_labels(model, windows, kernel=dense, *args) -> np.ndarray:
-    """Predicted class codes for an array of beat windows, one `forward` each,
-    float or int8 as `layers`; ties resolve to the lowest class index."""
+    """Predicted class codes for beat windows `(n, fan_in)`, float or int8 as
+    `layers`; ties resolve to the lowest class index.
+
+    One walk over the stack `(n, 1, fan_in)`: numpy's matmul runs each row as
+    the vector-matrix product of a one-beat `forward`, so every row's scores,
+    and so its label, are the per-beat call's bit for bit, exact ties
+    included. A 2-D batch would add in another order."""
     windows = np.asarray(windows, dtype=np.float64)
-    return np.array([np.argmax(forward(model, w, kernel, *args)) for w in windows], np.int64)
+    fan_in = model.shapes[0][0]
+    if windows.ndim != 2 or windows.shape[1] != fan_in:
+        raise ValueError(f"expected windows of shape (n, {fan_in}), got {windows.shape}")
+    scores = forward(model, windows[:, None, :], kernel, *args)[:, 0]
+    return np.argmax(scores, axis=1).astype(np.int64, copy=False)

@@ -17,11 +17,11 @@ and rescales once per output neuron (Jacob et al. 2018). With one global
 scale s and zero point z,
 x @ s(W_q + z) + s(b_q + z) = s(x @ W_q + b_q + z(sum(x) + 1)), so the
 two routes are equal in real arithmetic and differ only in rounding.
-Only the host kernel runs here: the live stream calls it per beat and
-batch eval makes that same call for each beat, so eval scores the label
-the stream gives. `forward_quantized_only` instead feeds the raw integer
-codes to the float kernel `nn.dense`, the cheapest (and least accurate)
-deployment mode.
+Only the host kernel runs here: the live stream calls it per beat, and
+batch eval walks it once over the stacked beats, whose rows are the
+per-beat scores bit for bit, so eval scores the label the stream gives.
+`forward_quantized_only` instead feeds the raw integer codes to the float
+kernel `nn.dense`, the cheapest (and least accurate) deployment mode.
 """
 
 from __future__ import annotations
@@ -139,8 +139,9 @@ def _temporary_layer(x, w_q, b_q, q: QuantParams) -> np.ndarray:
     Computes the pre-activation s * (x @ W_q + b_q + z * (sum(x) + 1)),
     which equals x @ s(W_q + z) + s(b_q + z), the per-parameter
     dequantization of the deployed kernel, in real arithmetic; `x` is one
-    beat or a batch, summed per row. numpy casts the codes to floats inside each
-    operation; no float copy of the weights outlives the call.
+    beat, a batch or a stack of beats, summed per row. numpy casts the codes
+    to floats inside each operation; no float copy of the weights outlives
+    the call.
     """
     acc = x @ w_q
     acc += b_q
@@ -166,8 +167,9 @@ def predict_labels_quantized(
 ) -> np.ndarray:
     """Predicted class codes for an array of windows, from `nn.predict_labels`.
 
-    `temporary` runs `_temporary_layer` one beat at a time, the call the
-    live stream makes per beat, so both give every beat the same label."""
+    `temporary` runs `_temporary_layer`, the kernel the live stream calls per
+    beat, on the stacked windows; each row's scores are that call's bit for
+    bit, so both give every beat the same label."""
     kernel, args = (_temporary_layer, (qmodel.qparams,)) if temporary else (dense, ())
     return predict_labels(qmodel, windows, kernel, *args)
 

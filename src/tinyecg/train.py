@@ -23,7 +23,7 @@ from .ingest import BeatSet
 from .labels import CLASSES
 from .metrics import confusion, scores
 from .nn import INPUT_LEN, LAYER_SHAPES, OUTPUT_LEN, RELU, SIGMOID, SOFTMAX, VARIANTS
-from .nn import DenseModel, flat_size, forward, glorot_init, layers, softmax, unflatten
+from .nn import DenseModel, flat_size, glorot_init, layers, predict_labels, softmax, unflatten
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -170,8 +170,9 @@ def _descend(model: DenseModel, grad_fn, n: int, config: TrainConfig,
 
 
 def evaluate(model: DenseModel, beats: BeatSet) -> tuple[float, float]:
-    """Accuracy and macro-F1 of `model` on `beats`, from one batched walk."""
-    report = scores(confusion(beats.labels, np.argmax(forward(model, beats.windows), axis=1)))
+    """Accuracy and macro-F1 of `model` on `beats`, from the labels
+    `nn.predict_labels` gives, as `tinyecg eval` scores them."""
+    report = scores(confusion(beats.labels, predict_labels(model, beats.windows)))
     return report.accuracy, report.macro_f1
 
 

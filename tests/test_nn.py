@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -190,11 +191,31 @@ class TestLayerForward:
 
     @pytest.mark.parametrize("shape", [(), (2, 3, 3), (5, 4), (3, 1), (0, 2)])
     def test_bad_batch_shapes_rejected(self, shape):
-        # one beat (fan_in,) or a batch (n, fan_in), nothing else
+        # neither a beat (fan_in,), a batch (n, fan_in) nor a stack (n, 1, fan_in)
         model = DenseModel(np.zeros((3, 2)), np.zeros(2), np.zeros((2, 2)), np.zeros(2),
                            "relu-sigmoid")
         with pytest.raises(ValueError, match="shape"):
             forward(model, np.zeros(shape))
+
+    @given(shape=array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4))
+    @example(shape=())
+    @example(shape=(2, 3, 3))
+    @example(shape=(2, 1, 4))
+    @example(shape=(0, 1, 2))
+    @example(shape=(2, 1, 1, 3))
+    @example(shape=(4, 1, 3))
+    @example(shape=(0, 1, 3))
+    def test_only_beat_batch_and_stack_shapes_walk(self, shape):
+        # one beat (fan_in,), a batch (n, fan_in) or a stack (n, 1, fan_in),
+        # nothing else; each is walked to its own shape with fan_out last
+        model = DenseModel(np.zeros((3, 2)), np.zeros(2), np.zeros((2, 2)), np.zeros(2),
+                           "relu-sigmoid")
+        n = shape[:1]
+        if shape in ((3,), n + (3,), n + (1, 3)):
+            assert forward(model, np.zeros(shape)).shape == shape[:-1] + (2,)
+        else:
+            with pytest.raises(ValueError, match=re.escape(str(shape))):
+                forward(model, np.zeros(shape))
 
     def test_batch_of_one_is_the_beat(self):
         model = standard_model("sigmoid-softmax", seed=2)
@@ -380,6 +401,18 @@ class TestPredict:
     def test_argmax_and_ties(self, out, expected):
         model = self._fixed_output_model(out)
         assert CLASSES[predict_labels(model, [np.zeros(61)])[0]] == expected
+
+    def test_empty_batch_gives_no_labels(self):
+        labels = predict_labels(standard_model("relu-softmax"), np.empty((0, 61)))
+        assert labels.dtype == np.int64 and labels.shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(61,), (0,), (2, 1, 61), (3, 61, 1), (0, 1, 61),
+                                       (5, 60), (0, 62), ()])
+    def test_anything_but_a_batch_of_windows_rejected(self, shape):
+        # one window, any 3-D array or a window of the wrong width is a
+        # ValueError naming the shape given, not an IndexError
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            predict_labels(standard_model("relu-softmax"), np.zeros(shape))
 
     def test_invariant_under_increasing_transform(self, rng):
         model = standard_model("sigmoid-sigmoid", seed=2)

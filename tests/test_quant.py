@@ -410,15 +410,16 @@ class TestBatchWalk:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(variant="sigmoid-softmax", zero_point=0, n_beats=23, seed=7997)
+    @example(variant="sigmoid-softmax", zero_point=0, n_beats=30, seed=1751)
     @example(variant="relu-sigmoid", zero_point=-254, n_beats=30, seed=0)
     def test_batch_rows_equal_single_beats(self, variant, zero_point, n_beats, seed):
-        # one walk serves a beat and a batch, in every mode: each row of a
-        # batched forward is that beat's own forward up to summation order
-        # (numpy's matrix-matrix and matrix-vector products add in
-        # different orders; 1e-12 failed for about 1 in 2,600 draws, 1e-11
-        # for none of 45,000), and the labels of `predict_labels*` are the
-        # per-beat argmax wherever the top two are > 1e-8 apart; tdq labels
-        # are the per-beat argmax on every beat, as the stream labels them
+        # one walk serves a beat and a batch, in every mode. Each row of a
+        # 2-D batch, the walk training runs, is that beat's own forward up
+        # to summation order (numpy's matrix-matrix and matrix-vector
+        # products add in different orders; 1e-12 failed for about 1 in
+        # 2,600 draws, 1e-11 for none of 45,000). The labels of
+        # `predict_labels*` are the per-beat argmax on every beat, ties
+        # included, as the stream labels them
         rng = np.random.default_rng(seed)
         qm = random_qmodel(rng, variant, zero_point)
         model = dequantize_model(qm)
@@ -433,10 +434,39 @@ class TestBatchWalk:
             per_beat = np.array([forward_fn(m, w) for w in windows]).reshape(n_beats, 4)
             assert batch.shape == (n_beats, 4)
             np.testing.assert_allclose(batch, per_beat, rtol=0, atol=1e-11)
-            top_two = np.sort(per_beat, axis=1)[:, -2:]
-            exact = forward_fn is forward_temporary_dequantized
-            clear = exact | (top_two[:, 1] - top_two[:, 0] > 1e-8)
-            np.testing.assert_array_equal(labels[clear], per_beat.argmax(axis=1)[clear])
+            np.testing.assert_array_equal(labels, per_beat.argmax(axis=1))
+
+    @settings(deadline=None)
+    @given(
+        variant=st.sampled_from(sorted(VARIANTS)),
+        zero_point=st.one_of(st.just(0), st.integers(-254, 254).filter(bool)),
+        n_beats=st.integers(0, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(variant="sigmoid-softmax", zero_point=0, n_beats=23, seed=7997)
+    @example(variant="sigmoid-softmax", zero_point=0, n_beats=30, seed=1751)
+    @example(variant="relu-softmax", zero_point=201, n_beats=30, seed=0)
+    def test_stacked_rows_are_per_beat_rows_bit_for_bit(self, variant, zero_point, n_beats,
+                                                         seed):
+        # the stack (n, 1, 61) that `predict_labels` walks runs each row as
+        # the one-beat call's vector-matrix product: its rows are the
+        # per-beat rows byte for byte in every mode, for windows taken as
+        # slices of one array and for freshly allocated ones, as the stream
+        # hands its kernel
+        rng = np.random.default_rng(seed)
+        qm = random_qmodel(rng, variant, zero_point)
+        model = dequantize_model(qm)
+        windows = rng.uniform(0, 2, (n_beats, 61))
+        for forward_fn, m in (
+            (forward, model),
+            (forward_temporary_dequantized, qm),
+            (forward_quantized_only, qm),
+        ):
+            stacked = forward_fn(m, windows[:, None, :])
+            assert stacked.shape == (n_beats, 1, 4)
+            for i, window in enumerate(windows):
+                for beat in (window, np.array(list(window))):
+                    assert stacked[i, 0].tobytes() == forward_fn(m, beat).tobytes()
 
 
 def numpy_scalar_layer(x, w_q, b_q, q: QuantParams) -> np.ndarray:

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 import tinyecg.train as train_module
 from tinyecg.ingest import BeatSet
+from tinyecg.metrics import confusion, scores
 from tinyecg.nn import VARIANTS, forward, glorot_init, softmax, standard_model, unflatten
+from tinyecg.quant import dequantize_model
 from tinyecg.synthetic import separable_beatset
 from tinyecg.train import (
     ADAM_BETA1,
@@ -18,6 +20,7 @@ from tinyecg.train import (
     distill,
     distill_backward,
     distill_loss,
+    evaluate,
     fit,
     fit_weights_only,
     forward_batch,
@@ -26,6 +29,8 @@ from tinyecg.train import (
     prune_and_retrain,
     prune_mask,
 )
+
+from test_quant import random_qmodel
 
 
 def loss_of(model, x, y) -> float:
@@ -249,8 +254,8 @@ class TestFit:
 
     @pytest.mark.parametrize("epochs", [1, 7])
     def test_one_forward_per_step(self, toy_beats, monkeypatch, epochs):
-        # one batched forward per Adam step; `evaluate` walks the train
-        # and the test set through `nn.forward`, not `forward_batch`
+        # one batched forward per Adam step; `evaluate` labels the train
+        # and the test set with `nn.predict_labels`, not `forward_batch`
         calls = []
         monkeypatch.setattr(train_module, "forward_batch",
                             lambda *args: calls.append(args) or forward_batch(*args))
@@ -276,6 +281,23 @@ class TestFit:
         assert lines[0] == "epoch,loss"
         assert len(lines) == 4
         assert float(lines[1].split(",")[1]) == pytest.approx(trace.losses[0])
+
+
+class TestEvaluate:
+    def test_scores_the_labels_eval_gives(self):
+        # beats 5, 10, 11 and 28 are N/S near-ties: the 2-D batch walk says S
+        # and the per-beat call, the one `tinyecg eval` and the stream make,
+        # says N; `evaluate` scores the per-beat labels, so train and eval agree
+        rng = np.random.default_rng(1751)
+        model = dequantize_model(random_qmodel(rng, "sigmoid-softmax", 0))
+        windows = rng.uniform(0, 2, (30, 61))
+        per_beat = np.array([np.argmax(forward(model, w)) for w in windows])
+        ties = [5, 10, 11, 28]
+        np.testing.assert_array_equal(per_beat[ties], 0)
+        np.testing.assert_array_equal(forward(model, windows).argmax(axis=1)[ties], 1)
+        accuracy, macro_f1 = evaluate(model, BeatSet(windows, per_beat))
+        assert accuracy == 1.0
+        assert macro_f1 == scores(confusion(per_beat, per_beat)).macro_f1
 
 
 class TestPruning:
