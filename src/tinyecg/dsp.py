@@ -1,14 +1,14 @@
 """Pan-Tompkins preprocessing chain: bandpass -> derivative -> square -> MWI.
 
-The same chain runs in two shapes that take any non-empty input and reject
-any non-finite sample: `preprocess` over a whole recording (training data)
-and `StreamingPreprocessor`, one sample at a time (live detection). Every
-stage is causal and length-preserving, so an R-peak index in the raw signal
-addresses the same position in the output.
+The same chain runs in two shapes that take any non-empty 1-D input and
+reject any non-finite sample: `preprocess` over a whole recording (training
+data) and `StreamingPreprocessor`, one sample at a time (live detection).
+Every stage is causal and length-preserving, so an R-peak index in the raw
+signal addresses the same position in the output.
 
-Only the batch `bandpass` (and so `preprocess`) loads scipy, for its
-`lfilter`. The biquad itself is designed in numpy, so the live chain
-(`StreamingPreprocessor`) never imports scipy.
+The biquad is designed in numpy, and batch and live run one recursion, its
+statements written out in Python in the same order, so batch and live
+bandpass give the same bits. numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ def bandpass_coefficients(spec: FilterSpec) -> tuple[np.ndarray, np.ndarray]:
     The steps of scipy 1.17.1's `butter(1, [LOW_CUT_HZ, HIGH_CUT_HZ],
     btype="bandpass", fs=fs)`, in scipy's order and written in numpy, so
     `b` and `a` are the same bits as `butter`'s; the tests compare the two
-    byte for byte over a grid of rates. Designing it without scipy keeps
-    the live chain free of scipy's import time.
+    byte for byte over a grid of rates. At every rate `b = b0·[1, 0, -1]`
+    and `a0 = 1`, so `bandpass` and `StreamingPreprocessor` run on
+    `(b0, a1, a2)` alone.
     """
     wn = np.array([LOW_CUT_HZ, HIGH_CUT_HZ]) / (spec.sampling_rate_hz / 2)
     w_lo, w_hi = 4.0 * np.tan(np.pi * wn / 2.0)  # prewarp 2·fs·tan(π·wn/fs) at fs = 2
@@ -61,21 +62,44 @@ def bandpass_coefficients(spec: FilterSpec) -> tuple[np.ndarray, np.ndarray]:
     return k * np.array([1.0, 0.0, -1.0]), np.poly((4.0 + p) / (4.0 - p))
 
 
+def _biquad(spec: FilterSpec) -> tuple[float, float, float]:
+    """The nonzero taps `(b0, a1, a2)` of `bandpass_coefficients`, as Python floats."""
+    (b0, _, _), (_, a1, a2) = bandpass_coefficients(spec)
+    return float(b0), float(a1), float(a2)
+
+
+def _df2t(bx, a1: float, a2: float):
+    """Yield the biquad's output for each `b0·x` in `bx`, from zero state, in
+    `StreamingPreprocessor.push`'s statements and order."""
+    z0 = z1 = 0.0
+    for v in bx:
+        y = v + z0
+        z0 = z1 - a1 * y
+        z1 = -v - a2 * y
+        yield y
+
+
 def bandpass(samples, spec: FilterSpec) -> np.ndarray:
     """Causal single-pass bandpass; rejects DC and powerline-range noise.
 
-    Raises ValueError on an empty or non-finite input, naming the first bad
-    index: `lfilter` would carry one NaN into every later sample."""
-    from scipy.signal import lfilter  # loaded only when a recording is filtered in batch
-
+    Direct form II transposed, run sample by sample in Python floats on the
+    statements `StreamingPreprocessor.push` runs, so a recording filtered in
+    batch and one fed to the live chain give the same bits. Only `b0·x` is
+    vectorized: an IEEE multiply rounds the same in numpy and in Python.
+    Raises ValueError on input that is not 1-D (naming its shape), empty
+    or non-finite (naming the first bad index): one NaN would poison every
+    later output.
+    """
     x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"bandpass needs a 1-D sequence, got shape {x.shape}")
     if x.size == 0:
         raise ValueError("bandpass needs a non-empty sequence")
     if not np.isfinite(x).all():
         i = int(np.argmin(np.isfinite(x)))
         raise ValueError(f"non-finite sample {float(x[i])!r} at index {i}")
-    b, a = bandpass_coefficients(spec)
-    return lfilter(b, a, x)
+    b0, a1, a2 = _biquad(spec)
+    return np.fromiter(_df2t((b0 * x).tolist(), a1, a2), np.float64, x.size)
 
 
 def preprocess(samples, spec: FilterSpec) -> np.ndarray:
@@ -98,7 +122,8 @@ class StreamingPreprocessor:
     """Sample-by-sample version of `preprocess` for live use.
 
     Feeding a recording one sample at a time produces the same values as
-    the batch chain (up to float summation order in the trailing mean).
+    the batch chain (up to float summation order in the trailing mean); the
+    bandpass is the batch `bandpass`'s recursion, statement for statement.
     Holds the biquad's nonzero coefficients, one state tuple (its two DF2T
     state values, then the derivative's last four bandpassed samples,
     newest first) read and written once per push, and the MWI window, all
@@ -110,8 +135,7 @@ class StreamingPreprocessor:
     __slots__ = ("_coef", "_state", "_mwi")
 
     def __init__(self, spec: FilterSpec):
-        (b0, _, _), (_, a1, a2) = bandpass_coefficients(spec)  # b = b0·[1, 0, -1], a0 = 1
-        self._coef = (float(b0), float(a1), float(a2))
+        self._coef = _biquad(spec)
         # The taps are None until the first sample, which fills all four.
         self._state: tuple = (0.0, 0.0, None, None, None, None)
         self._mwi: deque[float] = deque(maxlen=MWI_WINDOW)
@@ -125,10 +149,10 @@ class StreamingPreprocessor:
         x = float(raw)
         if not isfinite(x):
             raise ValueError(f"non-finite sample {x!r}")
-        # Direct form II transposed, as scipy.signal.lfilter runs it, less the
-        # taps b = b0·[1, 0, -1] makes trivial: b1·x adds an exact zero and
-        # b2·x is -(b0·x) exactly, so only the sign of an exact zero can
-        # differ from the five-coefficient form, and the square removes it.
+        # Direct form II transposed, as `_df2t` runs it, less the taps
+        # b = b0·[1, 0, -1] makes trivial: b1·x adds an exact zero and b2·x
+        # is -(b0·x) exactly, so only the sign of an exact zero can differ
+        # from the five-coefficient form, and the square removes it.
         b0, a1, a2 = self._coef
         z0, z1, t0, t1, t2, t3 = self._state
         bx = b0 * x

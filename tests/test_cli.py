@@ -759,15 +759,11 @@ def _scipy_loaded(work, *commands) -> bool:
     return loaded.strip() == "True"
 
 
-def test_live_path_never_loads_scipy(workspace):
-    # the biquad is designed in numpy: a detector and every command but
-    # ingest run without importing scipy
-    assert not _scipy_loaded(workspace, "train", "quantize", "eval", "eval-tdq", "stream")
-
-
-def test_batch_preprocessing_loads_scipy(workspace):
-    # the same probe does see scipy once a recording is filtered in batch
-    assert _scipy_loaded(workspace, "ingest")
+def test_no_command_loads_scipy(workspace):
+    # the biquad is designed and run in numpy and Python: a detector and
+    # every command, ingest's batch filter included, run without scipy
+    assert not _scipy_loaded(
+        workspace, "ingest", "train", "quantize", "eval", "eval-tdq", "stream")
 
 
 @pytest.mark.parametrize("imports, modules", [

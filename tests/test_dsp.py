@@ -1,4 +1,5 @@
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -88,6 +89,72 @@ class TestBandpass:
     def test_length_preserved(self, spec, rng):
         x = rng.normal(size=777)
         assert bandpass(x, spec).shape == x.shape
+
+    @pytest.mark.parametrize("shape", [(), (50, 1), (1, 50), (3, 50)])
+    @pytest.mark.parametrize("chain", [bandpass, preprocess])
+    def test_input_other_than_1d_rejected_naming_its_shape(self, spec, chain, shape):
+        # a (50, 1) column was filtered row by row into 50 one-sample outputs
+        with pytest.raises(ValueError, match=rf"1-D .*shape {re.escape(str(shape))}$"):
+            chain(np.ones(shape), spec)
+
+    def test_build_sized_recording_is_lfilters_bytes(self, spec):
+        # 1,600 beats at 120 bpm, the benchmark's build recording: 288,540
+        # samples, where every rounding of the recursion shows in the bytes
+        from tinyecg.synthetic import labeled_recording
+
+        x, _ = labeled_recording(["N", "S", "V", "F"] * 400, bpm=120.0, snr_db=25.0, seed=3)
+        assert x.size == 288_540
+        assert bandpass(x, spec).tobytes() == sps.lfilter(*bandpass_coefficients(spec), x).tobytes()
+
+    def test_only_the_sign_of_a_zero_differs_from_lfilter(self):
+        # lfilter adds the zero tap b1·x, and 0.0 + -0.0 is 0.0; the live chain
+        # drops that tap (the square after it removes the sign), and so does
+        # bandpass. Seen only below about 36 Hz, on subnormal inputs.
+        spec, x = FilterSpec(31.0), np.array([5e-324, 0.0, 0.0, -0.0])
+        got, ref = bandpass(x, spec), sps.lfilter(*bandpass_coefficients(spec), x)
+        assert got.tobytes() != ref.tobytes()
+        np.testing.assert_array_equal(got, ref)
+        assert (np.signbit(got[-1]), np.signbit(ref[-1])) == (True, False)
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e6, -1e6]
+
+
+@st.composite
+def recordings(draw):
+    """Up to 2,000 samples: noise at a drawn scale on a drawn DC offset, with
+    runs of zeros, signed zeros, subnormals and the extremes mixed in."""
+    n = draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = draw(st.sampled_from([0.0, 1e-300, 1.0, 1e6])) * rng.standard_normal(n)
+    x += draw(st.one_of(st.just(0.0), st.floats(-1e6, 1e6)))
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.integers(0, n - 1))
+        stop = draw(st.integers(start + 1, n))
+        x[start:stop] = rng.choice(_SPECIAL[: draw(st.integers(1, len(_SPECIAL)))], stop - start)
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(fs=st.floats(30.0, 2000.0, exclude_min=True), x=recordings())
+@example(fs=31.0, x=np.array([5e-324, 0.0, 0.0, -0.0]))
+@example(fs=360.0, x=np.random.default_rng(0).normal(size=2000))
+@example(fs=1000.0, x=np.full(2000, -1e6))
+def test_bandpass_is_the_live_biquad_and_lfilters_bits(fs, x):
+    # batch and live run one recursion, so their bytes are equal, signed
+    # zeros included; that recursion is lfilter's direct form II transposed
+    # less the zero tap b1·x, so its bytes equal lfilter's wherever the
+    # output is not an exact zero (test_only_the_sign_of_a_zero_differs_from_lfilter)
+    spec = FilterSpec(fs)
+    got, ref = bandpass(x, spec), sps.lfilter(*bandpass_coefficients(spec), x)
+    stream, live = StreamingPreprocessor(spec), []
+    for v in x:
+        stream.push(v)
+        live.append(stream._state[2])  # the newest bandpassed sample
+    assert got.tobytes() == np.array(live).tobytes()
+    assert got.dtype == ref.dtype == np.float64
+    np.testing.assert_array_equal(got == 0, ref == 0)
+    assert got[ref != 0].tobytes() == ref[ref != 0].tobytes()
 
 
 class TestPreprocess:

@@ -1,4 +1,6 @@
+import gzip
 import os
+import urllib.request
 import zipfile
 from pathlib import Path
 
@@ -228,6 +230,49 @@ class TestOnePassParse:
 
         monkeypatch.setattr(np, "loadtxt", loadtxt)
         assert load_signal(path).tobytes() == samples.tobytes()
+
+    @pytest.mark.parametrize("name", ["x.csv.gz", "X.CSV.XZ"])
+    def test_compressed_name_goes_to_the_line_loop(self, tmp_path, monkeypatch, name):
+        # numpy's loadtxt would decompress a path with such a suffix; a plain
+        # text export of that name is read as text by the line loop instead
+        samples = np.random.default_rng(1).normal(0, 2, 300)
+        path = tmp_path / name
+        write_signal_csv(path, samples)
+
+        def loadtxt(*args, **kwargs):
+            raise AssertionError(f"np.loadtxt was handed {name}")
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        assert load_signal(path).tobytes() == samples.tobytes()
+
+    def test_gzip_file_is_not_utf8_text(self, tmp_path):
+        # a gzip stream with no `#` byte passes the pre-scan, so only the
+        # suffix guard keeps loadtxt from decompressing and accepting it
+        text = tmp_path / "plain.csv"
+        for n in range(5, 50):
+            write_signal_csv(text, np.arange(n) * 0.25)
+            data = gzip.compress(text.read_bytes(), mtime=0)
+            if b"#" not in data:
+                break
+        assert b"#" not in data
+        path = tmp_path / "signal.csv.gz"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=r"signal\.csv\.gz:1: not UTF-8"):
+            load_signal(path)
+
+    def test_relative_name_that_parses_as_a_url_is_a_local_file(self, tmp_path, monkeypatch):
+        # `http://host/x.csv` names ./http:/host/x.csv; handed that string,
+        # numpy would try to fetch it
+        def urlopen(*args, **kwargs):
+            raise AssertionError("a signal path was fetched as a URL")
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        samples = np.random.default_rng(2).normal(0, 2, 300)
+        write_signal_csv(tmp_path / "http:" / "host" / "x.csv", samples)
+        monkeypatch.setattr(ingest, "_rows", lambda path: pytest.fail(f"{path} was line-read"))
+        assert load_signal("http://host/x.csv").tobytes() == samples.tobytes()
 
 
 class TestLoadAnnotations:
