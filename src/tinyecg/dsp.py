@@ -6,9 +6,10 @@ data) and `StreamingPreprocessor`, one sample at a time (live detection).
 Every stage is causal and length-preserving, so an R-peak index in the raw
 signal addresses the same position in the output.
 
-The biquad is designed in numpy, and batch and live run one recursion, its
-statements written out in Python in the same order, so batch and live
-bandpass give the same bits. numpy is the only dependency.
+The biquad is designed in numpy. Batch and live run one recursion, its
+statements written out in Python in the same order, and sum the trailing
+window oldest first, so the two shapes give the same bits at every length
+(see `StreamingPreprocessor` for Python 3.12). numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -105,31 +106,38 @@ def bandpass(samples, spec: FilterSpec) -> np.ndarray:
 def preprocess(samples, spec: FilterSpec) -> np.ndarray:
     """The whole chain in `StreamingPreprocessor.push`'s order: bandpass (y), the
     slope (2y[n] + y[n-1] - y[n-3] - 2y[n-4]) / 8 with taps before y[0] clamped to
-    it, its square, and the trailing mean over MWI_WINDOW (shorter at the start)."""
+    it, its square, and the trailing mean over MWI_WINDOW (shorter at the start),
+    summed oldest first as the live chain sums it."""
     y = bandpass(samples, spec)
     pad = np.concatenate([np.full(4, y[0]), y])
     d = (2.0 * pad[4:] + pad[3:-1] - pad[1:-3] - 2.0 * pad[:-4]) / 8.0
     # y is freed only once d exists: freeing it before fragments glibc's heap
     # and raised a whole build's peak RSS by about 3 MB
     del pad, y
-    energy = d * d
+    # the energies led by MWI_WINDOW - 1 zeros (0 + e is e), added oldest first
+    # in place, so no numpy internals pick the order
+    energy = np.zeros(MWI_WINDOW - 1 + d.size)
+    np.multiply(d, d, out=energy[MWI_WINDOW - 1:])
+    sums = np.zeros(d.size)
     del d
-    sums = np.convolve(energy, np.ones(MWI_WINDOW))[: energy.size]
-    return sums / np.minimum(np.arange(1, energy.size + 1), MWI_WINDOW)
+    for k in range(MWI_WINDOW):
+        sums += energy[k : k + sums.size]
+    return sums / np.minimum(np.arange(1, sums.size + 1), MWI_WINDOW)
 
 
 class StreamingPreprocessor:
     """Sample-by-sample version of `preprocess` for live use.
 
-    Feeding a recording one sample at a time produces the same values as
-    the batch chain (up to float summation order in the trailing mean); the
-    bandpass is the batch `bandpass`'s recursion, statement for statement.
-    Holds the biquad's nonzero coefficients, one state tuple (its two DF2T
-    state values, then the derivative's last four bandpassed samples,
-    newest first) read and written once per push, and the MWI window, all
-    as Python floats: per-sample arithmetic on numpy scalars costs several
-    times more. The window is summed afresh from its oldest sample on
-    every push: a running add/subtract sum drifts from the batch chain.
+    Feeding a recording one sample at a time gives the same bits as the
+    batch chain: the bandpass is `bandpass`'s recursion, statement for
+    statement, and `sum()` adds the MWI window afresh on every push, oldest
+    first, as `preprocess` does (a running add/subtract sum would drift).
+    From Python 3.12 `sum()` of floats is compensated, so there the bits can
+    differ. Holds the biquad's nonzero coefficients, one state tuple (its
+    two DF2T state values, then the derivative's last four bandpassed
+    samples, newest first) read and written once per push, and the MWI
+    window, all as Python floats: per-sample arithmetic on numpy scalars
+    costs several times more.
     """
 
     __slots__ = ("_coef", "_state", "_mwi")

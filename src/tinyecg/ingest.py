@@ -5,11 +5,12 @@ Input files are plain-text CSV exports of PhysioNet records:
     signal file      one `index,voltage` line per sample
     annotation file  one `index,symbol` line per annotated beat
 
-Lines starting with `#` are comments; LF and CRLF both accepted. A
+Lines starting with `#` are comments; lines end at LF, CRLF or CR. A
 clean signal export (`index,value` or empty lines only, indices 0, 1,
 2, ... as plain integers, finite values) is parsed in one `np.loadtxt`
-pass; any other file goes through a line loop, which accepts or rejects
-it and names the line of an error.
+pass; any other file, and every annotation file, goes through a line
+loop that judges each line in full before it reads the next, so a
+ParseError names the first bad line in file order.
 `load_annotations` returns an `(n, 2)` int64 array, one row per line:
 the sample index, then the symbol's class code (`labels.SYMBOL_CODE`,
 -1 outside the four classes). Beats are 61-sample windows of the
@@ -24,6 +25,7 @@ import warnings
 import zipfile
 import zlib
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -114,37 +116,24 @@ class BeatSet:
             raise ParseError(f"{path}: {exc}") from None
 
 
-def _rows(path) -> list[tuple[int, str, str]]:
-    """Return (line_number, first_field, second_field) per line, skipping blanks/comments."""
+def _rows(path):
+    """Yield (line_number, first_field, second_field) per line, skipping
+    blanks and comments. Lines end at LF, CRLF or CR, as in text mode; each
+    is decoded with its end, so a byte that is not UTF-8 gets the reason a
+    decode of the whole file gives."""
     path = Path(path)
-    out = []
-    try:
-        with open(path, "r", encoding="utf-8", newline=None) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                if len(parts) != 2:
-                    raise ParseError(f"{path}:{lineno}: expected `a,b`, got {line!r}")
-                out.append((lineno, parts[0].strip(), parts[1].strip()))
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    return out
-
-
-def _not_utf8(path: Path) -> ParseError:
-    """Name the line of the first byte that is not UTF-8. The decoder
-    works on chunks, so the line is found again from the whole file."""
-    data = path.read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        lineno = head.count(b"\n") + 1
-        return ParseError(f"{path}:{lineno}: not UTF-8 text "
-                          f"(byte 0x{data[exc.start]:02x}: {exc.reason})")
-    return ParseError(f"{path}: not UTF-8 text")
+    for lineno, raw in enumerate(path.read_bytes().splitlines(keepends=True), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: not UTF-8 text "
+                             f"(byte 0x{raw[exc.start]:02x}: {exc.reason})") from None
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected `a,b`, got {line!r}")
+        yield lineno, parts[0].strip(), parts[1].strip()
 
 
 def _clean_signal(path) -> np.ndarray | None:
@@ -189,36 +178,32 @@ def load_signal(path) -> np.ndarray:
     annotation off its sample. Values must be finite. A clean export
     takes the one-pass parse, which numpy reads in bulk from the path;
     anything else, a comment or a whitespace-only line included, goes
-    through the line loop, which names the line of an error. So does a
-    file named like a compressed one (`.gz`, `.bz2`, `.xz`, `.lzma`, in
-    any case), which numpy would decompress: every signal file is read
+    through the line loop, which judges each line in full before it reads
+    the next, so a ParseError names the first bad line in file order. So
+    does a file named like a compressed one (`.gz`, `.bz2`, `.xz`, `.lzma`,
+    in any case), which numpy would decompress: every signal file is read
     as plain UTF-8 text.
     """
     samples = _clean_signal(path)
     if samples is not None:
         return samples
-    rows = _rows(path)
-    if not rows:
-        raise ParseError(f"{Path(path)}: no samples found")
-    values = np.empty(len(rows))
-    prev = -1
-    for pos, (lineno, a, b) in enumerate(rows):
+    name, values = Path(path), []
+    for lineno, a, b in _rows(path):
         try:
-            idx = int(a)
-            values[pos] = float(b)
+            idx, value = int(a), float(b)
         except ValueError as exc:
-            raise ParseError(f"{Path(path)}:{lineno}: {exc}") from None
-        if idx != prev + 1:
-            problem = "not increasing" if idx <= prev else "leaves a gap"
+            raise ParseError(f"{name}:{lineno}: {exc}") from None
+        if idx != len(values):
+            problem = "not increasing" if idx < len(values) else "leaves a gap"
             raise ParseError(
-                f"{Path(path)}:{lineno}: sample index {idx} {problem} (prev {prev})"
+                f"{name}:{lineno}: sample index {idx} {problem} (prev {len(values) - 1})"
             )
-        prev = idx
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        lineno, _, b = rows[bad[0]]
-        raise ParseError(f"{Path(path)}:{lineno}: non-finite sample value {b!r}")
-    return values
+        if not isfinite(value):
+            raise ParseError(f"{name}:{lineno}: non-finite sample value {b!r}")
+        values.append(value)
+    if not values:
+        raise ParseError(f"{name}: no samples found")
+    return np.array(values)
 
 
 def load_annotations(path) -> np.ndarray:
@@ -226,21 +211,20 @@ def load_annotations(path) -> np.ndarray:
 
     Each row holds the sample index, then the symbol's class code; a
     symbol outside the four classes codes as -1, which `extract_beats`
-    drops.
+    drops. A ParseError names the first bad line in file order.
     """
-    rows = _rows(path)
-    out = np.empty((len(rows), 2), dtype=np.int64)
-    for pos, (lineno, a, b) in enumerate(rows):
+    name, rows = Path(path), []
+    for lineno, a, b in _rows(path):
         try:
             idx = int(a)
         except ValueError as exc:
-            raise ParseError(f"{Path(path)}:{lineno}: {exc}") from None
+            raise ParseError(f"{name}:{lineno}: {exc}") from None
         if not 0 <= idx <= _MAX_INDEX:
-            raise ParseError(f"{Path(path)}:{lineno}: sample index {idx} out of range")
+            raise ParseError(f"{name}:{lineno}: sample index {idx} out of range")
         if not b:
-            raise ParseError(f"{Path(path)}:{lineno}: empty annotation symbol")
-        out[pos] = idx, SYMBOL_CODE.get(b, -1)
-    return out
+            raise ParseError(f"{name}:{lineno}: empty annotation symbol")
+        rows.append((idx, SYMBOL_CODE.get(b, -1)))
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
 def extract_beats(samples: np.ndarray, spec: FilterSpec,

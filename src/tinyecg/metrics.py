@@ -63,21 +63,13 @@ def scores(counts: np.ndarray) -> EvalReport:
     pred_totals = counts.sum(axis=0).astype(np.float64)
     support = counts.sum(axis=1).astype(np.float64)
 
-    flags = []
-
-    def ratio(num, den, what):
-        out = np.zeros_like(num)
-        for i, cls in enumerate(CLASSES):
-            if den[i] == 0:
-                flags.append(f"{what}({cls}) undefined (0/0), reported as 0")
-            else:
-                out[i] = num[i] / den[i]
-        return out
-
-    precision = ratio(tp, pred_totals, "precision")
-    recall = ratio(tp, support, "recall")
+    precision = np.divide(tp, pred_totals, out=np.zeros_like(tp), where=pred_totals > 0)
+    recall = np.divide(tp, support, out=np.zeros_like(tp), where=support > 0)
     pr = precision + recall
-    f1 = np.where(pr > 0, 2.0 * precision * recall / np.where(pr > 0, pr, 1.0), 0.0)
+    f1 = np.divide(2.0 * precision * recall, pr, out=np.zeros_like(pr), where=pr > 0)
+    flags = [f"{what}({cls}) undefined (0/0), reported as 0"
+             for what, den in (("precision", pred_totals), ("recall", support))
+             for cls, d in zip(CLASSES, den) if d == 0]
 
     weights = support / total
     return EvalReport(

@@ -1,12 +1,13 @@
 import gzip
 import os
+import re
 import urllib.request
 import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tinyecg import ingest
@@ -95,36 +96,39 @@ class TestLoadSignal:
 
 
 def reference_load_signal(path) -> np.ndarray:
-    """The oracle: the line loop alone, as `load_signal` ran before it
-    gained the one-pass parse."""
-    path, rows = Path(path), []
-    with open(path, "r", encoding="utf-8", newline=None) as fh:
+    """The oracle: the line loop alone, reading the file in text mode and
+    judging each line in full (UTF-8, fields, index, value, gap, finite)
+    before it reads the next."""
+    path, values = Path(path), []
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
+            raw = line.encode("utf-8", "surrogateescape")
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: not UTF-8 text "
+                                 f"(byte 0x{raw[exc.start]:02x}: {exc.reason})") from None
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
             if len(parts) != 2:
                 raise ParseError(f"{path}:{lineno}: expected `a,b`, got {line!r}")
-            rows.append((lineno, parts[0].strip(), parts[1].strip()))
-    if not rows:
+            a, b = parts[0].strip(), parts[1].strip()
+            try:
+                idx, value = int(a), float(b)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            prev = len(values) - 1
+            if idx != prev + 1:
+                problem = "not increasing" if idx <= prev else "leaves a gap"
+                raise ParseError(f"{path}:{lineno}: sample index {idx} {problem} (prev {prev})")
+            if not np.isfinite(value):
+                raise ParseError(f"{path}:{lineno}: non-finite sample value {b!r}")
+            values.append(value)
+    if not values:
         raise ParseError(f"{path}: no samples found")
-    values, prev = np.empty(len(rows)), -1
-    for pos, (lineno, a, b) in enumerate(rows):
-        try:
-            idx = int(a)
-            values[pos] = float(b)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-        if idx != prev + 1:
-            problem = "not increasing" if idx <= prev else "leaves a gap"
-            raise ParseError(f"{path}:{lineno}: sample index {idx} {problem} (prev {prev})")
-        prev = idx
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        lineno, _, b = rows[bad[0]]
-        raise ParseError(f"{path}:{lineno}: non-finite sample value {b!r}")
-    return values
+    return np.array(values, dtype=np.float64)
 
 
 # Ways to write a field that the one-pass parse and the line loop could
@@ -315,6 +319,71 @@ class TestLoadAnnotations:
         p.write_bytes(b"# r\n5,N\n9,\xc3")
         with pytest.raises(ParseError, match=r"a\.csv:3: not UTF-8 .*0xc3"):
             load_annotations(p)
+
+
+# A fault of each kind, as the line for sample or beat k, and what its
+# error says.
+SIGNAL_FAULTS = {
+    "gap": (lambda k: b"%d,0.5" % (k + 1), "leaves a gap"),
+    "repeat": (lambda k: b"%d,0.5" % (k - 1), "not increasing"),
+    "non-finite value": (lambda k: b"%d,nan" % k, "non-finite sample value"),
+    "three fields": (lambda k: b"%d,0.5,0" % k, "expected `a,b`"),
+    "bad int": (lambda k: b"%d.0,0.5" % k, "invalid literal for int"),
+    # a sequence cut short by the line end: the error's reason is the one a
+    # decode of the whole file gives
+    "not UTF-8": (lambda k: b"%d,0.5\xe2\x82" % k, "not UTF-8"),
+}
+ANNOTATION_FAULTS = {
+    "three fields": (lambda k: b"%d,N,0" % k, "expected `a,b`"),
+    "bad int": (lambda k: b"%d.0,N" % k, "invalid literal for int"),
+    "out of range": (lambda k: b"%d,N" % (2**63 + k), "out of range"),
+    "empty symbol": (lambda k: b"%d," % k, "empty annotation symbol"),
+    "not UTF-8": (lambda k: b"%d,\xffN" % k, "not UTF-8"),
+}
+
+
+@st.composite
+def two_fault_exports(draw, clean, faults):
+    """An export whose line for item k is `clean(k)`, but for faults of two
+    kinds at items i < j, under an optional header line, with LF, CRLF or
+    CR ends: (its bytes, the number of line i, what line i's error says)."""
+    n = draw(st.integers(2, 8))
+    i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+    lines = [clean(k) for k in range(n)]
+    first, second = (draw(st.sampled_from(sorted(faults))) for _ in range(2))
+    lines[i], lines[j] = faults[first][0](i), faults[second][0](j)
+    header = draw(st.sampled_from([[], [b""], [b"# record 100"]]))
+    lines = header + lines
+    ends = [draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for _ in lines]
+    return b"".join(map(bytes.__add__, lines, ends)), len(header) + i + 1, faults[first][1]
+
+
+class TestFirstBadLine:
+    """The line loop judges each line in full before it reads the next, so
+    of two faults the one on the earlier line is named."""
+
+    @given(two_fault_exports(lambda k: b"%d,0.5" % k, SIGNAL_FAULTS))
+    @example((b"0,1.0\n1,nan\n2,1.0\n4,1.0\n", 2, "non-finite sample value"))
+    @example((b"0,1.0\n1;2\n2,1.0\n3,\xff\n", 2, "expected `a,b`"))
+    @example((b"9223372036854775808,0.0\n1,0.0,0\n", 1, "leaves a gap"))
+    @settings(max_examples=300, deadline=None)
+    def test_signal(self, tmp_path_factory, export):
+        data, line, says = export
+        path = tmp_path_factory.getbasetemp() / "two_faults.signal.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=rf"\.signal\.csv:{line}: .*{re.escape(says)}"):
+            load_signal(path)
+        assert outcome(load_signal, path) == outcome(reference_load_signal, path)
+
+    @given(two_fault_exports(lambda k: b"%d,N" % (10 * k), ANNOTATION_FAULTS))
+    @example((b"5,N\n6,\n7,\xffN\n", 2, "empty annotation symbol"))
+    @settings(max_examples=300, deadline=None)
+    def test_annotations(self, tmp_path_factory, export):
+        data, line, says = export
+        path = tmp_path_factory.getbasetemp() / "two_faults.annotations.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=rf"\.annotations\.csv:{line}: .*{re.escape(says)}"):
+            load_annotations(path)
 
 
 class TestSymbolCode:
