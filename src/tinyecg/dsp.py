@@ -9,7 +9,10 @@ signal addresses the same position in the output.
 The biquad is designed in numpy. Batch and live run one recursion, its
 statements written out in Python in the same order, and sum the trailing
 window oldest first, so the two shapes give the same bits at every length
-(see `StreamingPreprocessor` for Python 3.12). numpy is the only dependency.
+(see `StreamingPreprocessor` for Python 3.12). Memory is bounded: `bandpass`
+holds its output and one chunk of Python floats, `preprocess` at most three
+recording-sized float64 arrays besides its input. numpy is the only
+dependency.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ import numpy as np
 LOW_CUT_HZ = 5.0
 HIGH_CUT_HZ = 15.0
 MWI_WINDOW = 15
+# Samples per Python-float chunk of `bandpass`'s input: a list over the whole
+# recording would cost 32 B a sample, four times the output array.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -69,15 +75,18 @@ def _biquad(spec: FilterSpec) -> tuple[float, float, float]:
     return float(b0), float(a1), float(a2)
 
 
-def _df2t(bx, a1: float, a2: float):
-    """Yield the biquad's output for each `b0·x` in `bx`, from zero state, in
-    `StreamingPreprocessor.push`'s statements and order."""
+def _df2t(x: np.ndarray, b0: float, a1: float, a2: float):
+    """Yield the biquad's output for each sample of `x`, from zero state, in
+    `StreamingPreprocessor.push`'s statements and order. `b0·x` is formed
+    and made Python floats `_CHUNK` samples at a time; the state runs on
+    across chunks, so the chunking cannot show in the bits."""
     z0 = z1 = 0.0
-    for v in bx:
-        y = v + z0
-        z0 = z1 - a1 * y
-        z1 = -v - a2 * y
-        yield y
+    for start in range(0, x.size, _CHUNK):
+        for v in (b0 * x[start : start + _CHUNK]).tolist():
+            y = v + z0
+            z0 = z1 - a1 * y
+            z1 = -v - a2 * y
+            yield y
 
 
 def bandpass(samples, spec: FilterSpec) -> np.ndarray:
@@ -86,7 +95,9 @@ def bandpass(samples, spec: FilterSpec) -> np.ndarray:
     Direct form II transposed, run sample by sample in Python floats on the
     statements `StreamingPreprocessor.push` runs, so a recording filtered in
     batch and one fed to the live chain give the same bits. Only `b0·x` is
-    vectorized: an IEEE multiply rounds the same in numpy and in Python.
+    vectorized: an IEEE multiply rounds the same in numpy and in Python. It
+    is formed `_CHUNK` (4,096) samples at a time, so beyond the output array
+    the call holds at most one chunk as numpy floats and as Python floats.
     Raises ValueError on input that is not 1-D (naming its shape), empty
     or non-finite (naming the first bad index): one NaN would poison every
     later output.
@@ -99,30 +110,45 @@ def bandpass(samples, spec: FilterSpec) -> np.ndarray:
     if not np.isfinite(x).all():
         i = int(np.argmin(np.isfinite(x)))
         raise ValueError(f"non-finite sample {float(x[i])!r} at index {i}")
-    b0, a1, a2 = _biquad(spec)
-    return np.fromiter(_df2t((b0 * x).tolist(), a1, a2), np.float64, x.size)
+    return np.fromiter(_df2t(x, *_biquad(spec)), np.float64, x.size)
 
 
 def preprocess(samples, spec: FilterSpec) -> np.ndarray:
     """The whole chain in `StreamingPreprocessor.push`'s order: bandpass (y), the
     slope (2y[n] + y[n-1] - y[n-3] - 2y[n-4]) / 8 with taps before y[0] clamped to
     it, its square, and the trailing mean over MWI_WINDOW (shorter at the start),
-    summed oldest first as the live chain sums it."""
+    summed oldest first as the live chain sums it.
+
+    Every stage after the bandpass runs in place, so at most three
+    recording-sized float64 buffers are alive at once: y, the slope (later
+    the sums) and the energies, whose tail first holds 2y[n-4].
+    """
     y = bandpass(samples, spec)
-    pad = np.concatenate([np.full(4, y[0]), y])
-    d = (2.0 * pad[4:] + pad[3:-1] - pad[1:-3] - 2.0 * pad[:-4]) / 8.0
-    # y is freed only once d exists: freeing it before fragments glibc's heap
-    # and raised a whole build's peak RSS by about 3 MB
-    del pad, y
-    # the energies led by MWI_WINDOW - 1 zeros (0 + e is e), added oldest first
-    # in place, so no numpy internals pick the order
-    energy = np.zeros(MWI_WINDOW - 1 + d.size)
-    np.multiply(d, d, out=energy[MWI_WINDOW - 1:])
-    sums = np.zeros(d.size)
-    del d
-    for k in range(MWI_WINDOW):
-        sums += energy[k : k + sums.size]
-    return sums / np.minimum(np.arange(1, sums.size + 1), MWI_WINDOW)
+    n, lead = y.size, MWI_WINDOW - 1
+    energy = np.empty(lead + n)
+    tail = energy[lead:]
+    np.multiply(y[:-4], 2.0, out=tail[4:])
+    tail[:4] = 2.0 * y[0]
+    d = np.multiply(y, 2.0)
+    d[1:] += y[:-1]
+    d[:1] += y[0]
+    d[3:] -= y[:-3]
+    d[:3] -= y[0]
+    d -= tail
+    d /= 8.0
+    del y
+    # the energies led by MWI_WINDOW - 1 zeros, added oldest first in place,
+    # so no numpy internals pick the order; the first add, 0 + e, is e
+    np.multiply(d, d, out=tail)
+    energy[:lead] = 0.0
+    sums = d
+    sums[:] = energy[:n]
+    for k in range(1, MWI_WINDOW):
+        sums += energy[k : k + n]
+    head = sums[:lead]
+    head /= np.arange(1, head.size + 1)
+    sums[lead:] /= MWI_WINDOW
+    return sums
 
 
 class StreamingPreprocessor:

@@ -239,8 +239,12 @@ def extract_beats(samples: np.ndarray, spec: FilterSpec,
     stream = preprocess(samples, spec)
     index, code = annotations[annotations[:, 1] >= 0].T
     inside = (index >= WINDOW_HALF) & (index < stream.size - WINDOW_HALF)
-    rows = index[inside, None] + np.arange(-WINDOW_HALF, WINDOW_HALF + 1)
-    return BeatSet(stream[rows], code[inside], index.size - rows.shape[0])
+    # every WINDOW_LEN-sample window of the stream, as a view: indexing it
+    # copies only the chosen windows (a recording shorter than one has none)
+    windows = (np.lib.stride_tricks.sliding_window_view(stream, WINDOW_LEN)
+               if stream.size >= WINDOW_LEN else np.empty((0, WINDOW_LEN)))
+    starts = index[inside] - WINDOW_HALF
+    return BeatSet(windows[starts], code[inside], index.size - starts.size)
 
 
 def merge(beat_sets: list[BeatSet]) -> BeatSet:

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -12,6 +13,7 @@ from tinyecg.dsp import (
     HIGH_CUT_HZ,
     LOW_CUT_HZ,
     MWI_WINDOW,
+    _CHUNK,
     FilterSpec,
     StreamingPreprocessor,
     bandpass,
@@ -291,3 +293,53 @@ def test_one_non_finite_sample_rejected_by_both_chains(x, where, bad):
         stream.push(v)
     with pytest.raises(ValueError, match="non-finite"):
         stream.push(x[where])
+
+
+def _build_recording():
+    """1,600 beats at 120 bpm, the benchmark's build recording: 288,540 samples."""
+    from tinyecg.synthetic import labeled_recording
+
+    x, _ = labeled_recording(["N", "S", "V", "F"] * 400, bpm=120.0, snr_db=25.0, seed=3)
+    assert x.size == 288_540
+    return x
+
+
+def _traced_peak(chain, x, spec):
+    """The chain's output and the most bytes tracemalloc saw held during the
+    call, the input not counted (it exists before tracing starts)."""
+    tracemalloc.start()
+    try:
+        out = chain(x, spec)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBound:
+    # A list of Python floats over the whole recording (32 B a sample) and
+    # out-of-place stages held about five output-sized buffers at the peak.
+    def test_bandpass_holds_little_beyond_its_output(self, spec):
+        out, peak = _traced_peak(bandpass, _build_recording(), spec)
+        assert peak <= 1.25 * out.nbytes
+
+    def test_preprocess_holds_at_most_three_recording_sized_buffers(self, spec):
+        x = _build_recording()
+        _, peak = _traced_peak(preprocess, x, spec)
+        assert peak <= 3.25 * 8 * x.size
+
+
+@pytest.mark.parametrize("fs", [31.0, 360.0, 1000.0])
+@pytest.mark.parametrize(
+    "n", [*range(1, MWI_WINDOW), _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 5])
+def test_batch_is_the_live_chain_across_chunk_boundaries(fs, n):
+    # bandpass forms b0·x a chunk at a time with the state running on, and
+    # preprocess divides its first MWI_WINDOW - 1 sums in place; neither may
+    # show in the bytes. Raw ADC counts (200 per mV on a 1024 baseline).
+    x = 1024.0 + 200.0 * np.random.default_rng(n).standard_normal(n)
+    spec = FilterSpec(fs)
+    stream, live_y, live_out = StreamingPreprocessor(spec), [], []
+    for v in x:
+        live_out.append(stream.push(v))
+        live_y.append(stream._state[2])  # the newest bandpassed sample
+    assert bandpass(x, spec).tobytes() == np.array(live_y).tobytes()
+    assert preprocess(x, spec).tobytes() == np.array(live_out).tobytes()
